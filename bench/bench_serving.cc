@@ -2,7 +2,7 @@
 // replay, and micro-batched GEMM + fused top-k scoring vs. per-request
 // ScoreAll.
 //
-// Three sections, all single-process:
+// Four sections, all single-process:
 //   (1) incremental: advancing a cached session one interaction at a time
 //       (AdvanceState + ScoreFromState) vs. re-scoring the whole history
 //       with ScoreAll at every event, at history length 50 — for GRU4Rec
@@ -17,15 +17,9 @@
 //       the fp32 engine on a serving-sized catalog (4096 items, d=64),
 //       with the item-table memory ratio. Exactness is checked with
 //       rerank_k = catalog (provably identical to fp32) before timing
-//       the rerank_k=64 configuration;
-//   (5) sharding: one single-request score against a 1M-item catalog
-//       (65536 in --smoke) through MatMulTopKSharded at S in {1,2,4,8},
-//       1 and 8 threads, each checked bit-identical to the unsharded
-//       kernel. Speedup gates follow bench_parallel's convention: the
-//       exactness flag always gates; the throughput gate is enforced only
-//       when the host has >= 2 hardware threads (`gate_enforced` in the
-//       JSON records which ran) — bench_sharding is the deep-dive bench
-//       for this section.
+//       the rerank_k=64 configuration.
+//
+// Sharded scoring is benched (and gated) by bench_sharding alone.
 //
 // Every timed path is checked bit-identical to its reference first; a
 // mismatch fails the run. Writes a BENCH_serving.json report (path =
@@ -38,9 +32,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -50,7 +42,6 @@
 #include "common/thread_pool.h"
 #include "eval/metrics.h"
 #include "serve/engine.h"
-#include "tensor/kernels.h"
 #include "tensor/quant.h"
 
 namespace {
@@ -380,88 +371,6 @@ int main(int argc, char** argv) {
               qtable ? static_cast<double>(qtable->MemoryBytes()) : 0.0,
               memory_ratio);
 
-  // -- Section 5: sharded scoring on a million-item catalog ---------------
-  const int hardware = std::max(
-      1, static_cast<int>(std::thread::hardware_concurrency()));
-  const int shard_catalog = smoke ? 65536 : 1000000;
-  constexpr int kShardDim = 64;
-  std::vector<float> shard_table(static_cast<size_t>(shard_catalog) *
-                                 kShardDim);
-  std::vector<float> shard_query(kShardDim);
-  {
-    // Cheap deterministic fill; the kernel's cost is shape-driven.
-    uint64_t h = 0x2545f4914f6cdd1dull;
-    for (auto& v : shard_table) {
-      h ^= h << 13; h ^= h >> 7; h ^= h << 17;
-      v = static_cast<float>(static_cast<int>(h % 2001) - 1000) / 1000.0f;
-    }
-    for (auto& v : shard_query) {
-      h ^= h << 13; h ^= h >> 7; h ^= h << 17;
-      v = static_cast<float>(static_cast<int>(h % 2001) - 1000) / 1000.0f;
-    }
-  }
-  std::vector<tensor::kernels::TopKEntry> shard_reference(sc.top_k);
-  std::vector<tensor::kernels::TopKEntry> shard_out(sc.top_k);
-  tensor::kernels::MatMulTopK(shard_query.data(), shard_table.data(), 1,
-                              kShardDim, shard_catalog, sc.top_k,
-                              shard_reference.data());
-  const double shard_base = [&] {
-    double best = 1e30;
-    for (int r = 0; r < repeats; ++r) {
-      Stopwatch sw;
-      tensor::kernels::MatMulTopK(shard_query.data(), shard_table.data(), 1,
-                                  kShardDim, shard_catalog, sc.top_k,
-                                  shard_out.data());
-      best = std::min(best, sw.ElapsedSeconds());
-    }
-    return best;
-  }();
-  bool shard_exact = true;
-  double shard_best_speedup = 0.0;
-  std::vector<std::string> shard_rows;
-  std::printf(
-      "\nSharded scoring (1 request, catalog %d, d=%d, top-%d, unsharded "
-      "%.2f ms):\n",
-      shard_catalog, kShardDim, sc.top_k, shard_base * 1e3);
-  for (int threads : {1, 8}) {
-    SetDefaultThreads(threads);
-    for (int shards : {2, 4, 8}) {
-      double best = 1e30;
-      for (int r = 0; r < repeats; ++r) {
-        Stopwatch sw;
-        tensor::kernels::MatMulTopKSharded(
-            shard_query.data(), shard_table.data(), 1, kShardDim,
-            shard_catalog, sc.top_k, shards, shard_out.data());
-        best = std::min(best, sw.ElapsedSeconds());
-      }
-      bool exact = shard_out.size() == shard_reference.size();
-      for (size_t e = 0; exact && e < shard_reference.size(); ++e) {
-        exact = shard_out[e].index == shard_reference[e].index &&
-                std::memcmp(&shard_out[e].score, &shard_reference[e].score,
-                            sizeof(float)) == 0;
-      }
-      shard_exact = shard_exact && exact;
-      const double speedup = shard_base / best;
-      if (threads == 8) {
-        shard_best_speedup = std::max(shard_best_speedup, speedup);
-      }
-      std::printf("  S=%d %d thread%s : %9.2f ms  (%5.2fx, exact %s)\n",
-                  shards, threads, threads == 1 ? " " : "s", best * 1e3,
-                  speedup, exact ? "yes" : "NO");
-      bench::JsonObject row;
-      row.Set("shards", shards)
-          .Set("threads", threads)
-          .Set("ms", best * 1e3)
-          .Set("speedup_vs_unsharded_1t", speedup)
-          .Set("exact", exact);
-      shard_rows.push_back(row.Str());
-    }
-  }
-  SetDefaultThreads(1);
-  ok = ok && shard_exact;
-  const double shard_gate = smoke ? 1.5 : 3.0;
-  const bool shard_gate_enforced = hardware >= 2;
-
   // -- Report -------------------------------------------------------------
   bench::JsonObject incremental_row;
   incremental_row.Set("history_len", kHistoryLen)
@@ -505,18 +414,6 @@ int main(int argc, char** argv) {
       .Set("full_rerank_exact", quant_exact)
       .Set("gate_min_speedup", quant_gate)
       .Set("gate_min_memory_ratio", memory_gate);
-  bench::JsonObject sharding_row;
-  sharding_row.Set("catalog", shard_catalog)
-      .Set("dim", kShardDim)
-      .Set("rows", 1)
-      .Set("top_k", sc.top_k)
-      .Set("unsharded_1t_ms", shard_base * 1e3)
-      .SetRaw("points", bench::JsonArray(shard_rows))
-      .Set("best_speedup_8t", shard_best_speedup)
-      .Set("bit_identical", shard_exact)
-      .Set("hardware_threads", hardware)
-      .Set("gate_enforced", shard_gate_enforced)
-      .Set("gate_min_speedup", shard_gate);
   bench::JsonObject report;
   report.Set("bench", std::string("bench_serving"))
       .Set("smoke", smoke)
@@ -525,7 +422,6 @@ int main(int argc, char** argv) {
       .SetRaw("batched_vs_per_request", batch_row.Str())
       .SetRaw("latency", latency_row.Str())
       .SetRaw("quant", quant_row.Str())
-      .SetRaw("sharding", sharding_row.Str())
       .Set("gate_min_speedup", gate);
   if (!bench::WriteTextFile(out_path, report.Str())) {
     std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
@@ -560,13 +456,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "FATAL: item-table memory ratio %.2fx below the %.1fx gate\n",
                  memory_ratio, memory_gate);
-    return 1;
-  }
-  if (shard_gate_enforced && shard_best_speedup < shard_gate) {
-    std::fprintf(stderr,
-                 "FATAL: sharded scoring speedup %.2fx below the %.1fx "
-                 "gate\n",
-                 shard_best_speedup, shard_gate);
     return 1;
   }
   return 0;

@@ -176,10 +176,7 @@ void CauserModel::RefreshCaches() {
   // Explicit element copy: the caches are plain heap vectors that outlive
   // any ArenaScope the refresh might run under.
   assign_cache_.assign(assignments.data().begin(), assignments.data().end());
-  // The user-bias columns are dot products against the refreshed
-  // parameters, and serve sessions' cached groups filter through the
-  // refreshed w_cache_: both invalidate with it.
-  user_bias_cache_.clear();
+  // Serve sessions' cached groups filter through the refreshed w_cache_.
   ++serve_epoch_;
   caches_stale_ = false;
 }
@@ -468,19 +465,15 @@ Tensor CauserModel::CandidateLogit(const Encoded& encoded, int user,
   return tensor::SumRows(tensor::Mul(rep, out_items_->Row(candidate)));
 }
 
-const std::vector<float>& CauserModel::UserBiasFor(int user) {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  auto it = user_bias_cache_.find(user);
-  if (it != user_bias_cache_.end()) return it->second;
-  // One [V, 1] GEMV per user per cache epoch instead of one per ScoreAll;
-  // RefreshCaches clears the map when the parameters behind it move.
+std::vector<float> CauserModel::UserBias(int user) {
+  if (!causer_config_.use_user_embedding) {
+    return std::vector<float>(config_.num_items, 0.0f);
+  }
   tensor::NoGradGuard guard;
   tensor::ArenaScope arena_scope;
   Tensor bias = tensor::MatMul(out_items_->weight(),
                                tensor::Transpose(users_->Row(user)));
-  std::vector<float>& cached = user_bias_cache_[user];
-  cached.assign(bias.data().begin(), bias.data().end());
-  return cached;
+  return std::vector<float>(bias.data().begin(), bias.data().end());
 }
 
 void CauserModel::ScoreGroup(const Tensor& states, const Tensor& alpha,
@@ -525,17 +518,7 @@ std::vector<float> CauserModel::ScoreAll(
   std::vector<float> out(v, 0.0f);
   std::vector<data::Step> truncated = Truncate(history);
   if (truncated.empty()) return out;
-  // User-affinity bias u_k . e_b, added to every candidate's score when
-  // the u_k conditioning is enabled (zeros otherwise, keeping the + below
-  // unconditional so disabled runs stay bitwise-identical).
-  std::vector<float> zero_bias;
-  const std::vector<float>* user_bias;
-  if (causer_config_.use_user_embedding) {
-    user_bias = &UserBiasFor(user);
-  } else {
-    zero_bias.assign(v, 0.0f);
-    user_bias = &zero_bias;
-  }
+  const std::vector<float> user_bias = UserBias(user);
 
   // Group candidates sharing the same filtered history; the backbone runs
   // once per group (with near-hard assignments there are at most ~K
@@ -578,7 +561,7 @@ std::vector<float> CauserModel::ScoreAll(
         causer_config_.use_causal && !group.encoded.fallback;
     ScoreGroup(group.encoded.states, group.alpha,
                weighted ? &group.encoded.kept_items : nullptr, group.members,
-               *user_bias, &out);
+               user_bias, &out);
   }
   return out;
 }
@@ -593,7 +576,6 @@ class CauserModel::ServeState : public models::SessionState {
   /// One filtered-history group: the candidates whose causal filter keeps
   /// exactly `kept_steps` of the window, and the backbone run over them.
   struct GroupState {
-    uint64_t key = kGroupKeySeed;
     std::vector<std::vector<int>> kept_steps;  // filtered items per row
     std::vector<int> step_index;               // window index per row
     std::vector<float> states;                 // [rows * hidden_dim]
@@ -603,22 +585,25 @@ class CauserModel::ServeState : public models::SessionState {
     /// True for the group of candidates whose filter kept nothing — they
     /// score against the shared unfiltered fallback encoding.
     bool empty() const { return kept_steps.empty(); }
-
-    void Append(const std::vector<int>& items, int t) {
-      kept_steps.push_back(items);
-      step_index.push_back(t);
-    }
   };
+
+  /// Drops every encoding and puts all candidates in the fallback group.
+  void Reset(int num_items) {
+    unfiltered = GroupState{};
+    groups.assign(1, GroupState{});
+    group_of.assign(num_items, 0);
+  }
 
   int user = 0;
   std::vector<data::Step> window;  // last <= max_history appended steps
   bool dirty = false;   // groups must be rebuilt from the window
   uint64_t epoch = 0;   // serve_epoch_ the cached groups were built under
   /// Backbone over every non-empty window step unfiltered: Eq. 10's
-  /// fallback encoding, and the single group when use_causal is off.
+  /// fallback encoding.
   GroupState unfiltered;
-  /// Filtered groups (use_causal only); groups[group_of[b]] is candidate
-  /// b's group. A group with empty kept_steps is the fallback group.
+  /// groups[group_of[b]] is candidate b's group. The group with empty
+  /// kept_steps is the fallback group; with use_causal off it holds every
+  /// candidate.
   std::vector<GroupState> groups;
   std::vector<int> group_of;
 };
@@ -628,12 +613,62 @@ std::unique_ptr<models::SessionState> CauserModel::NewSessionState(int user) {
   auto state = std::make_unique<ServeState>();
   state->user = user;
   state->epoch = serve_epoch_;
-  if (causer_config_.use_causal) {
-    // Every candidate starts in the (empty) fallback group.
-    state->groups.emplace_back();
-    state->group_of.assign(config_.num_items, 0);
-  }
+  state->Reset(config_.num_items);
   return state;
+}
+
+void CauserModel::AdvanceGroups(ServeState& state, int t) {
+  const std::vector<int>& items = state.window[t].items;
+  auto extend = [&](ServeState::GroupState& g, const std::vector<int>& kept) {
+    g.kept_steps.push_back(kept);
+    g.step_index.push_back(t);
+    BackboneStep(kept, &g.h, &g.c);
+    g.states.insert(g.states.end(), g.h.begin(), g.h.end());
+  };
+  extend(state.unfiltered, items);
+  if (!causer_config_.use_causal) return;
+
+  // A candidate's child group is its parent group plus the items of this
+  // step its filter keeps, so groups split but never merge, and each child
+  // is told apart from its few siblings by that kept list alone.
+  // children[p] lists parent p's children; kept_of[c] is child c's list
+  // (empty: the parent carries over unchanged).
+  const int v = config_.num_items;
+  const float eps = causer_config_.epsilon;
+  std::vector<std::vector<int>> children(state.groups.size());
+  std::vector<std::vector<int>> kept_of;
+  std::vector<int> kept;
+  for (int b = 0; b < v; ++b) {
+    kept.clear();
+    for (int item : items) {
+      if (w_cache_[static_cast<size_t>(item) * v + b] > eps) {
+        kept.push_back(item);
+      }
+    }
+    std::vector<int>& siblings = children[state.group_of[b]];
+    auto it = std::find_if(siblings.begin(), siblings.end(),
+                           [&](int c) { return kept_of[c] == kept; });
+    if (it == siblings.end()) {
+      it = siblings.insert(it, static_cast<int>(kept_of.size()));
+      kept_of.push_back(kept);
+    }
+    state.group_of[b] = *it;
+  }
+  std::vector<ServeState::GroupState> next(kept_of.size());
+  for (size_t p = 0; p < children.size(); ++p) {
+    for (size_t i = 0; i < children[p].size(); ++i) {
+      const int c = children[p][i];
+      // Every child starts from its parent's rows and recurrent state; the
+      // last one takes them over instead of copying.
+      if (i + 1 < children[p].size()) {
+        next[c] = state.groups[p];
+      } else {
+        next[c] = std::move(state.groups[p]);
+      }
+      if (!kept_of[c].empty()) extend(next[c], kept_of[c]);
+    }
+  }
+  state.groups = std::move(next);
 }
 
 void CauserModel::AdvanceState(models::SessionState& state,
@@ -654,113 +689,16 @@ void CauserModel::AdvanceState(models::SessionState& state,
   // Rebuilds are deferred to the next score, so a burst of advances after
   // a slide or a cache refresh pays for one rebuild, not many.
   if (s->dirty || step.items.empty()) return;  // empty steps never encode
-
   tensor::NoGradGuard guard;
-  const int t = static_cast<int>(s->window.size()) - 1;
-  BackboneStep(step.items, &s->unfiltered.h, &s->unfiltered.c);
-  s->unfiltered.states.insert(s->unfiltered.states.end(),
-                              s->unfiltered.h.begin(), s->unfiltered.h.end());
-  s->unfiltered.Append(step.items, t);
-  if (!causer_config_.use_causal) return;
-
-  // Re-partition the candidates by their extended keys. Keys only ever
-  // extend (the new step's kept pairs chain onto the old key), so groups
-  // split but never merge: equal new keys imply equal old keys, and each
-  // child can start from its parent's copied-out recurrent state.
-  const int v = config_.num_items;
-  const float eps = causer_config_.epsilon;
-  std::vector<ServeState::GroupState> next;
-  std::vector<int> next_of(v, -1);
-  std::unordered_map<uint64_t, int> index;
-  std::vector<int> kept;
-  for (int b = 0; b < v; ++b) {
-    const ServeState::GroupState& parent = s->groups[s->group_of[b]];
-    kept.clear();
-    uint64_t key = parent.key;
-    for (int item : step.items) {
-      if (w_cache_[static_cast<size_t>(item) * v + b] > eps) {
-        kept.push_back(item);
-        key = HashKeptPair(key, t, item);
-      }
-    }
-    auto [it, inserted] = index.try_emplace(key, -1);
-    if (inserted) {
-      ServeState::GroupState g;
-      if (kept.empty()) {
-        g = parent;  // nothing new kept: the group carries over unchanged
-      } else if (parent.empty()) {
-        // Fallback members gaining their first kept items: the filtered
-        // history is exactly this step's kept set.
-        g.key = key;
-        g.Append(kept, t);
-        BackboneStep(kept, &g.h, &g.c);
-        g.states = g.h;
-      } else {
-        g = parent;  // split: the child copies the parent's rows...
-        g.key = key;
-        g.Append(kept, t);
-        BackboneStep(kept, &g.h, &g.c);  // ...and advances one cell step
-        g.states.insert(g.states.end(), g.h.begin(), g.h.end());
-      }
-      it->second = static_cast<int>(next.size());
-      next.push_back(std::move(g));
-    }
-    next_of[b] = it->second;
-  }
-  s->groups = std::move(next);
-  s->group_of = std::move(next_of);
+  AdvanceGroups(*s, static_cast<int>(s->window.size()) - 1);
 }
 
 void CauserModel::RebuildServeState(ServeState& state) {
   tensor::NoGradGuard guard;
-  const int v = config_.num_items;
-  const float eps = causer_config_.epsilon;
-  state.unfiltered = ServeState::GroupState{};
-  state.groups.clear();
-  state.group_of.clear();
+  state.Reset(config_.num_items);
   for (size_t t = 0; t < state.window.size(); ++t) {
-    const auto& items = state.window[t].items;
-    if (items.empty()) continue;
-    BackboneStep(items, &state.unfiltered.h, &state.unfiltered.c);
-    state.unfiltered.states.insert(state.unfiltered.states.end(),
-                                   state.unfiltered.h.begin(),
-                                   state.unfiltered.h.end());
-    state.unfiltered.Append(items, static_cast<int>(t));
-  }
-  if (causer_config_.use_causal) {
-    // Same grouping scan as ScoreAll's, building each group's backbone
-    // once on first sight of its key.
-    state.group_of.assign(v, -1);
-    std::unordered_map<uint64_t, int> index;
-    for (int b = 0; b < v; ++b) {
-      uint64_t key = kGroupKeySeed;
-      for (size_t t = 0; t < state.window.size(); ++t) {
-        for (int item : state.window[t].items) {
-          if (w_cache_[static_cast<size_t>(item) * v + b] > eps) {
-            key = HashKeptPair(key, static_cast<int>(t), item);
-          }
-        }
-      }
-      auto [it, inserted] = index.try_emplace(key, -1);
-      if (inserted) {
-        ServeState::GroupState g;
-        g.key = key;
-        for (size_t t = 0; t < state.window.size(); ++t) {
-          std::vector<int> kept;
-          for (int item : state.window[t].items) {
-            if (w_cache_[static_cast<size_t>(item) * v + b] > eps) {
-              kept.push_back(item);
-            }
-          }
-          if (kept.empty()) continue;
-          BackboneStep(kept, &g.h, &g.c);
-          g.states.insert(g.states.end(), g.h.begin(), g.h.end());
-          g.Append(kept, static_cast<int>(t));
-        }
-        it->second = static_cast<int>(state.groups.size());
-        state.groups.push_back(std::move(g));
-      }
-      state.group_of[b] = it->second;
+    if (!state.window[t].items.empty()) {
+      AdvanceGroups(state, static_cast<int>(t));
     }
   }
   state.epoch = serve_epoch_;
@@ -780,52 +718,24 @@ std::vector<float> CauserModel::ScoreFromState(models::SessionState& state) {
   // Scratch (reconstructed states, attention, pooling) lives on the arena;
   // only the plain `out` floats leave the scope.
   tensor::ArenaScope arena_scope;
-  std::vector<float> zero_bias;
-  const std::vector<float>* user_bias;
-  if (causer_config_.use_user_embedding) {
-    user_bias = &UserBiasFor(s->user);
-  } else {
-    zero_bias.assign(v, 0.0f);
-    user_bias = &zero_bias;
-  }
-
-  const int hd = config_.hidden_dim;
-  auto encode = [hd](const ServeState::GroupState& g) {
-    // The copied-out rows carry the exact floats RunBackbone's chained
-    // recurrence produces, so everything downstream matches ScoreAll.
-    return Tensor::FromData(static_cast<int>(g.step_index.size()), hd,
-                            g.states);
-  };
-
-  if (!causer_config_.use_causal) {
-    if (s->unfiltered.empty()) return out;  // only empty steps so far
-    Tensor states = encode(s->unfiltered);
-    Tensor alpha = StepWeights(states);
-    std::vector<int> members(v);
-    for (int b = 0; b < v; ++b) members[b] = b;
-    ScoreGroup(states, alpha, nullptr, members, *user_bias, &out);
-    return out;
-  }
+  const std::vector<float> user_bias = UserBias(s->user);
 
   std::vector<std::vector<int>> members(s->groups.size());
   for (int b = 0; b < v; ++b) members[s->group_of[b]].push_back(b);
-  Tensor fb_states, fb_alpha;  // shared fallback encoding, built lazily
   for (size_t gi = 0; gi < s->groups.size(); ++gi) {
-    if (members[gi].empty()) continue;
     const ServeState::GroupState& g = s->groups[gi];
-    if (g.empty()) {
-      if (s->unfiltered.empty()) continue;  // degenerate: all steps empty
-      if (!fb_states.defined()) {
-        fb_states = encode(s->unfiltered);
-        fb_alpha = StepWeights(fb_states);
-      }
-      // Fallback semantics at inference: unfiltered states, What = 1.
-      ScoreGroup(fb_states, fb_alpha, nullptr, members[gi], *user_bias, &out);
-    } else {
-      Tensor states = encode(g);
-      Tensor alpha = StepWeights(states);
-      ScoreGroup(states, alpha, &g.kept_steps, members[gi], *user_bias, &out);
-    }
+    // Fallback semantics at inference: a group whose filter kept nothing
+    // scores against the unfiltered states with What = 1.
+    const ServeState::GroupState& encoded = g.empty() ? s->unfiltered : g;
+    if (encoded.empty()) continue;  // degenerate: all steps empty
+    // The copied-out rows carry the exact floats RunBackbone's chained
+    // recurrence produces, so everything downstream matches ScoreAll.
+    Tensor states =
+        Tensor::FromData(static_cast<int>(encoded.step_index.size()),
+                         config_.hidden_dim, encoded.states);
+    ScoreGroup(states, StepWeights(states),
+               g.empty() ? nullptr : &g.kept_steps, members[gi], user_bias,
+               &out);
   }
   return out;
 }

@@ -5,7 +5,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/cluster_graph.h"
@@ -122,13 +121,14 @@ class CauserModel : public models::SequentialRecommender {
   void OnParametersRestored() override;
 
   // Incremental serving (docs/PERFORMANCE.md, "Online serving"): the
-  // session caches the per-group backbone states (GRU h / LSTM (h, c)) and
-  // the hashed filtered-history group keys, so appending one interaction
-  // advances each of the ~K groups by a single cell step instead of
-  // replaying the backbone over the whole window. ScoreFromState stays
-  // bit-identical to ScoreAll over the appended history. After a parameter
-  // update (TrainEpoch / restore) the cached groups are invalidated and
-  // rebuilt from the window on the next call.
+  // session caches the candidates' filtered-history groups and each
+  // group's backbone states (GRU h / LSTM (h, c)), so appending one
+  // interaction splits the ~K groups by the items each candidate's filter
+  // keeps and advances each by a single cell step instead of replaying the
+  // backbone over the whole window. ScoreFromState stays bit-identical to
+  // ScoreAll over the appended history. After a window slide or a
+  // parameter update (TrainEpoch / restore) the groups are rebuilt on the
+  // next score by replaying the window through the same split.
   std::unique_ptr<models::SessionState> NewSessionState(int user) override;
   void AdvanceState(models::SessionState& state,
                     const data::Step& step) override;
@@ -202,11 +202,11 @@ class CauserModel : public models::SequentialRecommender {
   void BackboneStep(const std::vector<int>& items, std::vector<float>* h,
                     std::vector<float>* c);
 
-  /// The per-user affinity bias column e . u_k (satellite of ScoreAll's
-  /// Eq. 10 term), cached per user and invalidated alongside w_cache_.
-  /// Caller must not hold cache_mu_. The returned reference stays valid
-  /// until the next RefreshCaches (node-based map storage).
-  const std::vector<float>& UserBiasFor(int user);
+  /// The per-user affinity bias column e . u_k of Eq. 10 ([V], one GEMV),
+  /// added to every candidate's score. Zeros when use_user_embedding is
+  /// off, so the addition stays unconditional and those scores keep their
+  /// bits.
+  std::vector<float> UserBias(int user);
 
   /// Scores one group of candidates sharing the encoded `states` and
   /// attention `alpha`, adding the user bias: the shared tail of ScoreAll
@@ -218,9 +218,17 @@ class CauserModel : public models::SequentialRecommender {
                   const std::vector<float>& user_bias,
                   std::vector<float>* out);
 
-  /// Rebuilds a serve session's groups from its window (used after a
-  /// window slide or a cache refresh): the bounded O(max_history) step of
-  /// the otherwise O(1)-per-event serving path.
+  /// Appends window step t (non-empty) to a serve session: advances the
+  /// unfiltered encoding, then splits every group by the items of the step
+  /// its candidates' filters keep, one cell step per child that kept any.
+  /// The only code that assigns a session's candidates to groups; with
+  /// use_causal off all of them stay in the fallback group.
+  void AdvanceGroups(ServeState& state, int t);
+
+  /// Rebuilds a serve session's groups (after a window slide or a cache
+  /// refresh) by resetting it to the fallback group and replaying its
+  /// window through AdvanceGroups: the bounded O(max_history) step of the
+  /// otherwise O(1)-per-event serving path.
   void RebuildServeState(ServeState& state);
 
   /// Attention weights over the encoded states: [T, 1].
@@ -275,9 +283,6 @@ class CauserModel : public models::SequentialRecommender {
   bool caches_stale_ = true;
   std::vector<float> w_cache_;       // item-level W, row-major [V * V]
   std::vector<float> assign_cache_;  // soft assignments, row-major [V * K]
-  /// Per-user affinity bias columns ([V] each), computed lazily by
-  /// UserBiasFor under cache_mu_ and cleared whenever w_cache_ refreshes.
-  std::unordered_map<int, std::vector<float>> user_bias_cache_;
   /// Bumped by every RefreshCaches; serve sessions stamp the epoch their
   /// cached groups were built under and rebuild on mismatch (the filter
   /// sets depend on w_cache_).

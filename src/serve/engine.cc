@@ -23,7 +23,8 @@ namespace {
 /// Feeds one sharded scoring pass's per-shard wall times into the
 /// serve.shard.* instruments: a histogram observation per shard and the
 /// imbalance gauge (max/mean — 1.0 means the static row split kept every
-/// shard equally busy). Caller checks metrics::Enabled().
+/// shard equally busy). A pass that ran unsharded (count <= 1) records
+/// nothing. Caller checks metrics::Enabled().
 void ObserveShardTimes(const double* seconds, int count) {
   if (count <= 1) return;
   double sum = 0.0;
@@ -255,21 +256,14 @@ bool ServingEngine::ScoreRowsQuantized(
   const int kq = std::min(vocab, config_.rerank_k);
   std::vector<tensor::kernels::TopKEntry> cands(static_cast<size_t>(rows) *
                                                 kq);
-  if (config_.score_shards > 1) {
-    std::vector<double> shard_seconds(
-        measure ? static_cast<size_t>(config_.score_shards) : 0);
-    const int used = tensor::kernels::MatMulTopKQSharded(
-        qreps.data(), rep_scales.data(), served.qtable->data.data(),
-        served.qtable->scales.data(), rows, dim, vocab, kq,
-        config_.score_shards, cands.data(),
-        measure ? shard_seconds.data() : nullptr);
-    if (measure) ObserveShardTimes(shard_seconds.data(), used);
-  } else {
-    tensor::kernels::MatMulTopKQ(qreps.data(), rep_scales.data(),
-                                 served.qtable->data.data(),
-                                 served.qtable->scales.data(), rows, dim,
-                                 vocab, kq, cands.data());
-  }
+  std::vector<double> shard_seconds(
+      measure ? static_cast<size_t>(config_.score_shards) : 0);
+  const int used = tensor::kernels::MatMulTopKQSharded(
+      qreps.data(), rep_scales.data(), served.qtable->data.data(),
+      served.qtable->scales.data(), rows, dim, vocab, kq,
+      config_.score_shards, cands.data(),
+      measure ? shard_seconds.data() : nullptr);
+  if (measure) ObserveShardTimes(shard_seconds.data(), used);
   // Exact fp32 re-rank: ops.dot is the same zero-seeded ascending-k chain
   // MatMulTopK scores with, so every returned score carries the fp32
   // path's bits; with rerank_k >= vocab every item is a candidate and the
@@ -407,18 +401,13 @@ void ServingEngine::ProcessBatch(const std::vector<Pending*>& batch) {
       if (!quantized) {
         std::vector<tensor::kernels::TopKEntry> entries(
             static_cast<size_t>(rows) * k);
-        if (config_.score_shards > 1) {
-          std::vector<double> shard_seconds(
-              measure ? static_cast<size_t>(config_.score_shards) : 0);
-          const int used = tensor::kernels::MatMulTopKSharded(
-              reps.data(), table->data().data(), rows, dim, vocab, k,
-              config_.score_shards, entries.data(),
-              measure ? shard_seconds.data() : nullptr);
-          if (measure) ObserveShardTimes(shard_seconds.data(), used);
-        } else {
-          tensor::kernels::MatMulTopK(reps.data(), table->data().data(),
-                                      rows, dim, vocab, k, entries.data());
-        }
+        std::vector<double> shard_seconds(
+            measure ? static_cast<size_t>(config_.score_shards) : 0);
+        const int used = tensor::kernels::MatMulTopKSharded(
+            reps.data(), table->data().data(), rows, dim, vocab, k,
+            config_.score_shards, entries.data(),
+            measure ? shard_seconds.data() : nullptr);
+        if (measure) ObserveShardTimes(shard_seconds.data(), used);
         for (int r = 0; r < rows; ++r) {
           Response& response = unique_responses[gemm_rows[r]];
           const tensor::kernels::TopKEntry* row =

@@ -1,8 +1,9 @@
 // Serving equivalence suite: the incremental session path (NewSessionState /
 // AdvanceState / ScoreFromState) must be bit-identical to scoring the full
 // appended history with ScoreAll — for the plain GRU4Rec backbone and for
-// Causer with either backbone, with and without the causal filter, at every
-// thread count, including window slides past max_history. The engine's
+// Causer with either backbone, with and without the causal filter and with
+// the user embedding, at every thread count, including window slides past
+// max_history, wide steps, repeated items and empty steps. The engine's
 // batched GEMM + fused top-k responses must in turn equal eval::TopK of
 // those scores.
 
@@ -85,6 +86,22 @@ std::vector<data::Step> LongHistory(int user, int num_items, int length) {
   return history;
 }
 
+/// LongHistory with a step wider than 64 items and an empty step. The wide
+/// step repeats one item 64 times before 8 distinct ones, so the filter
+/// splits its candidates only on items past the 64th. Both steps are split
+/// incrementally, replayed by rebuilds once the window slides, then slide
+/// out.
+std::vector<data::Step> IrregularHistory(int user, int num_items,
+                                         int length) {
+  std::vector<data::Step> history = LongHistory(user, num_items, length);
+  history[3].items.assign(64, (user * 5 + 1) % num_items);
+  for (int i = 0; i < 8; ++i) {
+    history[3].items.push_back((user + i * 5) % num_items);
+  }
+  history[4].items.clear();
+  return history;
+}
+
 TEST(ServingEquivalenceTest, Gru4RecIncrementalMatchesScoreAll) {
   ThreadCountGuard guard;
   models::ModelConfig config;
@@ -109,10 +126,17 @@ TEST(ServingEquivalenceTest, Gru4RecIncrementalMatchesScoreAll) {
 
 TEST(ServingEquivalenceTest, CauserIncrementalMatchesScoreAll) {
   ThreadCountGuard guard;
+  struct Variant {
+    bool causal;
+    bool user_embedding;
+  };
   for (auto backbone : {core::Backbone::kGru, core::Backbone::kLstm}) {
-    for (bool causal : {true, false}) {
+    for (Variant variant : {Variant{true, false}, Variant{false, false},
+                            Variant{true, true}}) {
+      const bool causal = variant.causal;
       core::CauserConfig config = TinyConfig(backbone);
       config.use_causal = causal;
+      config.use_user_embedding = variant.user_embedding;
       core::CauserModel model(config);
       // A couple of epochs makes the learned filter (and so the candidate
       // grouping) nontrivial before the equivalence check.
@@ -121,7 +145,8 @@ TEST(ServingEquivalenceTest, CauserIncrementalMatchesScoreAll) {
         SetDefaultThreads(threads);
         const std::string label =
             std::string(backbone == core::Backbone::kGru ? "gru" : "lstm") +
-            (causal ? "+causal" : "-causal") + " t" +
+            (causal ? "+causal" : "-causal") +
+            (variant.user_embedding ? "+user" : "") + " t" +
             std::to_string(threads);
         for (int user : {0, 3}) {
           ExpectIncrementalMatchesReplay(
@@ -129,6 +154,10 @@ TEST(ServingEquivalenceTest, CauserIncrementalMatchesScoreAll) {
           ExpectIncrementalMatchesReplay(
               model, user,
               LongHistory(user, TinyData().num_items, 30), label + " long");
+          ExpectIncrementalMatchesReplay(
+              model, user,
+              IrregularHistory(user, TinyData().num_items, 30),
+              label + " irregular");
         }
       }
     }
