@@ -46,7 +46,9 @@ bool Reader::Take(void* dst, size_t n) {
     ok_ = false;
     return false;
   }
-  std::memcpy(dst, data_ + pos_, n);
+  // An empty vector's data() may be null, and memcpy forbids null even
+  // for n == 0.
+  if (n > 0) std::memcpy(dst, data_ + pos_, n);
   pos_ += n;
   return true;
 }

@@ -284,13 +284,7 @@ bool ServingEngine::ScoreRowsQuantized(
            ops.dot(dim, rep, tbl + static_cast<size_t>(crow[j].index) * dim)});
     }
     rescored += rerank.size();
-    // eval::TopK's total order, same as the kernels' selection heaps.
-    std::sort(rerank.begin(), rerank.end(),
-              [](const tensor::kernels::TopKEntry& x,
-                 const tensor::kernels::TopKEntry& y) {
-                if (x.score != y.score) return x.score > y.score;
-                return x.index < y.index;
-              });
+    std::sort(rerank.begin(), rerank.end(), tensor::kernels::BetterEntry);
     Response& response = unique_responses[gemm_rows[r]];
     const int take = std::min(k, static_cast<int>(rerank.size()));
     for (int j = 0; j < take; ++j) {

@@ -73,12 +73,6 @@ ServeMetricsT& ServeMetrics() {
                             "GEMM + top-k task within a sharded scoring "
                             "pass (--score-shards > 1).",
                             metrics::ExponentialBuckets(1e-6, 10.0, 8)),
-      metrics::GetCounter("serve.shard.store_hits_total", "hits",
-                          "Session-store hits served by a hash-partitioned "
-                          "shard (stays 0 with --session-shards=1)."),
-      metrics::GetCounter("serve.shard.store_misses_total", "misses",
-                          "Session-store misses taken by a hash-partitioned "
-                          "shard (stays 0 with --session-shards=1)."),
       metrics::GetGauge("serve.shard.imbalance", "ratio",
                         "Max/mean shard wall time of the latest sharded "
                         "scoring pass (1.0 = perfectly balanced)."),
@@ -171,7 +165,6 @@ SessionStore::Handle SessionStore::Acquire(
     const std::shared_ptr<models::SequentialRecommender>& model,
     uint64_t version) {
   const bool measure = metrics::Enabled();
-  const bool sharded = shards_.size() > 1;
   Shard& shard = ShardOf(user);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.sessions.find(user);
@@ -180,10 +173,7 @@ SessionStore::Handle SessionStore::Acquire(
       // Touch: move to the MRU end of this shard's recency list.
       Unlink(shard, &it->second);
       PushMru(shard, &it->second);
-      if (measure) {
-        ServeMetrics().session_hits.Add();
-        if (sharded) ServeMetrics().shard_store_hits.Add();
-      }
+      if (measure) ServeMetrics().session_hits.Add();
       return it->second.state;
     }
     // Stale: built by a different model version. Never advance or serve it
@@ -221,7 +211,6 @@ SessionStore::Handle SessionStore::Acquire(
   const int total = size_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (measure) {
     ServeMetrics().session_misses.Add();
-    if (sharded) ServeMetrics().shard_store_misses.Add();
     ServeMetrics().sessions.Set(static_cast<double>(total));
   }
   return pos->second.state;

@@ -36,8 +36,6 @@ struct ServeMetricsT {
   metrics::Gauge& active_version;       ///< serve.reload.active_version
   metrics::Counter& stale_rebuilds;     ///< serve.reload.stale_rebuilds_total
   metrics::Histogram& shard_batch_seconds;  ///< serve.shard.batch_seconds
-  metrics::Counter& shard_store_hits;    ///< serve.shard.store_hits_total
-  metrics::Counter& shard_store_misses;  ///< serve.shard.store_misses_total
   metrics::Gauge& shard_imbalance;       ///< serve.shard.imbalance
 };
 

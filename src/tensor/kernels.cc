@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <vector>
 
@@ -220,239 +219,92 @@ void MatMulAdd(const float* a, const float* b, float* c, int n, int m, int p,
 
 namespace {
 
-/// eval::TopK's strict total order on (score, index): score descending,
-/// index ascending on ties. Shared by the bounded heap and the final sort
-/// so the fused kernel reproduces the evaluator's ranking exactly.
-inline bool BetterEntry(const TopKEntry& x, const TopKEntry& y) {
-  if (x.score != y.score) return x.score > y.score;
-  return x.index < y.index;
-}
-
-/// Candidate columns scanned per tile. At m = 64 a tile of B is 128 KiB —
+/// Candidate columns scored per chunk. At m = 64 a chunk of B is 128 KiB —
 /// it stays in L2 while every row of the batch scores it, so B streams from
-/// memory once per kernel call instead of once per row.
+/// memory once per call instead of once per row.
 constexpr int kTopKTile = 512;
 
-/// Scores rows [row_begin, row_end) of A against all p rows of B, keeping
-/// the k best per row. Column-tiled: the j scan is still globally ascending
-/// per row, so heap updates see candidates in the same order a flat scan
-/// would (the selection result is order-independent anyway — the order on
-/// (score, index) is total). `index_base` offsets the emitted indices: a
-/// catalog shard passes its first global row so merged results carry
-/// catalog indices (ascending j within a shard stays ascending globally —
-/// shards are contiguous).
-void TopKRows(const float* a, const float* b, int row_begin, int row_end,
-              int m, int p, int k, TopKEntry* out, int index_base = 0) {
-  const primitives::Ops& ops = primitives::Active();
-  std::vector<TopKEntry> heap;
-  heap.reserve(k);
-  // Heap maintenance on (score, index) is a total order, so batching the
-  // dots eight at a time changes nothing observable as long as candidates
-  // are offered in ascending j — which the scores buffer preserves.
-  auto offer = [&](int j, float score) {
-    const TopKEntry cand{index_base + j, score};
-    if (static_cast<int>(heap.size()) < k) {
-      heap.push_back(cand);
-      std::push_heap(heap.begin(), heap.end(), BetterEntry);
-    } else if (BetterEntry(cand, heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), BetterEntry);
-      heap.back() = cand;
-      std::push_heap(heap.begin(), heap.end(), BetterEntry);
-    }
-  };
-  for (int i = row_begin; i < row_end; ++i) {
-    const float* ai = a + static_cast<size_t>(i) * m;
-    heap.clear();
-    // One running B-row pointer instead of a b + j*m recomputation per
-    // offer: the multiply is loop-invariant per tile and the stride per
-    // step is constant.
-    const float* bj = b;
-    for (int jt = 0; jt < p; jt += kTopKTile) {
-      const int jend = jt + kTopKTile < p ? jt + kTopKTile : p;
-      int j = jt;
-      for (; j + 8 <= jend; j += 8, bj += 8 * static_cast<size_t>(m)) {
-        // Eight ascending-k accumulator chains from zero — per column the
-        // exact rounding sequence of MatMulAddNaive on a zeroed output.
-        float scores[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-        ops.dot8(m, ai, bj, /*stride=*/m, scores);
-        for (int l = 0; l < 8; ++l) offer(j + l, scores[l]);
-      }
-      for (; j < jend; ++j, bj += m) {
-        offer(j, ops.dot(m, ai, bj));
-      }
-    }
-    std::sort(heap.begin(), heap.end(), BetterEntry);
-    TopKEntry* orow = out + static_cast<size_t>(i) * k;
-    for (int r = 0; r < k; ++r) {
-      orow[r] = r < static_cast<int>(heap.size()) ? heap[r] : TopKEntry{};
-    }
-  }
+/// Static catalog partition: shard s of S covers B rows [p*s/S, p*(s+1)/S)
+/// — the thread pool's ParallelFor formula, so the split is deterministic
+/// in (p, S) alone.
+inline int ShardBegin(int p, int S, int s) {
+  return static_cast<int>(static_cast<int64_t>(p) * s / S);
 }
 
-/// Int8 counterpart of TopKRows: same column tiling and the same
-/// (score, index) total order — but each tile's scores come from one
-/// gemm_panel_s8 call (exact int32 dots of the quantized codes), and the
-/// dequantize + threshold scan runs inside ops.dequant_filter, which
-/// hands back only the surviving tile positions. The filter's score
-/// expression acc * (a_scale * b_scale) is bit-identical on every tier,
-/// so the quantized scores — while approximations of the fp32 ones — are
-/// identical on every ISA tier and thread count.
-void TopKRowsQ(const std::int8_t* a, const float* a_scales,
-               const std::int8_t* b, const float* b_scales, int row_begin,
-               int row_end, int m, int p, int k, TopKEntry* out,
-               int index_base = 0) {
-  const primitives::Ops& ops = primitives::Active();
+/// The one selection loop: the k best catalog columns in [jb, je) for rows
+/// [row_begin, row_end) of A, written to out[i*k .. i*k+k) sorted
+/// best-first and {-1, 0}-padded. `score(i, j0, w, thr, idx, scores)`
+/// scores row i against columns [j0, j0+w) and writes the chunk positions
+/// whose score compares >= thr (ascending) to idx and their scores to
+/// scores, returning the count. It is taken by value, so each task owns
+/// any scratch the scorer carries.
+///
+/// Chunks are OUTER and rows inner: one chunk of B stays cache-resident
+/// while every row scores it. Each row appends every survivor to its slot
+/// of one survivor slab, with no per-candidate comparison against the
+/// selection so far; an nth_element under BetterEntry compacts the slot
+/// to its k best, and the kth score becomes the row's filter threshold.
+/// The filter only drops scores strictly below an exact kth-best-so-far,
+/// and a compaction only drops entries k others beat, so the result is
+/// exactly the k best under BetterEntry whatever the chunking.
+///
+/// Priming: the first chunk is only min(4k, kTopKTile) columns wide and
+/// passes unfiltered (thr starts at -inf); a row whose threshold is still
+/// unset compacts as soon as it holds k entries. Later chunks are then
+/// filtered from the start instead of flooding the slab. A row compacts
+/// again once it holds 4k entries, so a slot never needs more than
+/// 4k + kTopKTile entries (nor more than the range holds).
+template <typename Scorer>
+void SelectTopK(Scorer score, int row_begin, int row_end, int jb, int je,
+                int k, TopKEntry* out) {
+  constexpr float kUnset = -std::numeric_limits<float>::infinity();
   const int rows = row_end - row_begin;
-  const int tile = kTopKTile < p ? kTopKTile : p;
-  std::vector<std::int32_t> acc(tile);
-  std::vector<std::int32_t> idx(tile);
-  // The tile loop is OUTER and the row loop inner — the opposite of
-  // TopKRows. The int8 panel is memory-bound, not compute-bound: with
-  // rows outer, every row re-streams the whole code table; with tiles
-  // outer, one tile of codes (kTopKTile * m bytes, cache-resident) is
-  // scored against every row in the shard before moving on, so the shard
-  // reads the table once. Selection state is therefore kept per row.
-  //
-  // Selection also differs from TopKRows' heap: the serving path asks
-  // for rerank_k candidates (64-2048), and at that k the per-insert heap
-  // rebalancing dominates the kernel. Instead, every filter survivor
-  // appends unconditionally (no per-element compare at all), and an
-  // nth_element compaction at tile boundaries re-tightens the filter
-  // threshold once the buffer crosses cap. The filter only ever drops
-  // scores strictly below an exact kth-best-so-far — a discard in
-  // BetterEntry's total order regardless of index — and everything else
-  // stays buffered until a compaction judges it, so the selection is
-  // identical to the heap's.
   const std::size_t cap = 4 * static_cast<std::size_t>(k);
-  // Per-row buffers live in one flat slab: between the compaction checks
-  // at tile boundaries a buffer holds at most cap-1 entries plus one
-  // tile's survivors, so slot size cap+tile is a hard bound and the call
-  // makes one allocation instead of one per row.
-  const std::size_t slot = cap + static_cast<std::size_t>(tile);
+  const std::size_t slot = std::min<std::size_t>(
+      cap + kTopKTile, static_cast<std::size_t>(je - jb));
   std::vector<TopKEntry> slab(slot * static_cast<std::size_t>(rows));
   std::vector<int> len(rows, 0);
-  std::vector<float> thr(rows, -std::numeric_limits<float>::infinity());
+  std::vector<float> thr(rows, kUnset);
+  std::vector<std::int32_t> idx(kTopKTile);
+  std::vector<float> scores(kTopKTile);
   auto compact = [&](int r) {
     TopKEntry* buf = slab.data() + slot * static_cast<std::size_t>(r);
     std::nth_element(buf, buf + (k - 1), buf + len[r], BetterEntry);
     thr[r] = buf[k - 1].score;
     len[r] = k;
   };
-  std::vector<float> scores(tile);
-  std::vector<float> scratch(tile);
-  const std::int8_t* bt = b;
-  for (int jt = 0; jt < p;
-       jt += kTopKTile, bt += static_cast<size_t>(kTopKTile) * m) {
-    const int tp = jt + kTopKTile < p ? kTopKTile : p - jt;
-    const float* bs = b_scales + jt;
+  const int first = static_cast<int>(
+      std::min<std::size_t>({cap, kTopKTile, slot}));
+  for (int j0 = jb, w = first; j0 < je;
+       j0 += w, w = std::min(kTopKTile, je - j0)) {
     for (int r = 0; r < rows; ++r) {
-      const int i = row_begin + r;
-      const std::int8_t* ai = a + static_cast<size_t>(i) * m;
-      const float ascale = a_scales[i];
-      ops.gemm_panel_s8(m, tp, ai, bt, /*stride=*/m, acc.data());
       TopKEntry* buf = slab.data() + slot * static_cast<std::size_t>(r);
-      int n_buf = len[r];
-      if (jt == 0 && k < tp) {
-        // Prime the threshold from a prefix of the first tile: with thr
-        // still at -inf the filter would pass the whole tile into the
-        // buffer. The kth-largest of a prefix can only be <= the
-        // kth-largest of anything containing it, so it is a valid (if
-        // slightly loose) threshold and the >= filter keeps a superset
-        // of the true top k — priming changes nothing about which
-        // candidates are exact-best. A 4k prefix keeps the nth_element
-        // small while leaving the threshold tight enough.
-        const int prime = static_cast<int>(cap) < tp ? static_cast<int>(cap)
-                                                     : tp;
-        for (int l = 0; l < prime; ++l) {
-          scores[l] = static_cast<float>(acc[l]) * (ascale * bs[l]);
-        }
-        std::copy(scores.begin(), scores.begin() + prime, scratch.begin());
-        std::nth_element(scratch.begin(), scratch.begin() + (k - 1),
-                         scratch.begin() + prime, std::greater<float>());
-        thr[r] = scratch[k - 1];
-        for (int l = 0; l < prime; ++l) {
-          if (scores[l] >= thr[r]) {
-            buf[n_buf++] = TopKEntry{index_base + l, scores[l]};
-          }
-        }
-        const int cnt =
-            ops.dequant_filter(tp - prime, acc.data() + prime, bs + prime,
-                               ascale, thr[r], idx.data(), scores.data());
-        for (int t = 0; t < cnt; ++t) {
-          buf[n_buf++] = TopKEntry{index_base + prime + idx[t], scores[t]};
-        }
-      } else {
-        const int cnt = ops.dequant_filter(tp, acc.data(), bs, ascale, thr[r],
-                                           idx.data(), scores.data());
-        for (int t = 0; t < cnt; ++t) {
-          buf[n_buf++] = TopKEntry{index_base + jt + idx[t], scores[t]};
-        }
+      const int cnt =
+          score(row_begin + r, j0, w, thr[r], idx.data(), scores.data());
+      for (int t = 0; t < cnt; ++t) {
+        buf[len[r]++] = TopKEntry{j0 + idx[t], scores[t]};
       }
-      len[r] = n_buf;
-      if (static_cast<std::size_t>(n_buf) >= cap) compact(r);
+      const std::size_t limit =
+          thr[r] == kUnset ? static_cast<std::size_t>(k) : cap;
+      if (static_cast<std::size_t>(len[r]) >= limit) compact(r);
     }
   }
   for (int r = 0; r < rows; ++r) {
     TopKEntry* buf = slab.data() + slot * static_cast<std::size_t>(r);
     // Shrink to the k best before sorting so the sort never touches the
-    // beaten tail the buffer may still hold.
+    // beaten tail the slot may still hold.
     if (len[r] > k) compact(r);
     std::sort(buf, buf + len[r], BetterEntry);
     TopKEntry* orow = out + static_cast<size_t>(row_begin + r) * k;
-    for (int rr = 0; rr < k; ++rr) {
-      orow[rr] = rr < len[r] ? buf[rr] : TopKEntry{};
-    }
+    for (int t = 0; t < k; ++t) orow[t] = t < len[r] ? buf[t] : TopKEntry{};
   }
-}
-
-}  // namespace
-
-void MatMulTopK(const float* a, const float* b, int n, int m, int p, int k,
-                TopKEntry* out) {
-  if (n <= 0 || k <= 0) return;
-  // TopKRows fills the tail of each output row with {-1, 0} entries when
-  // p < k (the heap can never hold more than p candidates), so no separate
-  // clamping pass is needed.
-  if (ShouldParallelize(n, m, p)) {
-    DefaultPool().ParallelFor(0, n, [&](int row_begin, int row_end) {
-      TopKRows(a, b, row_begin, row_end, m, p, k, out);
-    });
-  } else {
-    TopKRows(a, b, 0, n, m, p, k, out);
-  }
-}
-
-void MatMulTopKQ(const std::int8_t* a, const float* a_scales,
-                 const std::int8_t* b, const float* b_scales, int n, int m,
-                 int p, int k, TopKEntry* out) {
-  if (n <= 0 || k <= 0) return;
-  // |sum of m products of codes in [-127, 127]| <= m * 127^2 must stay
-  // inside int32; past the documented bound the scores would wrap silently
-  // and the selection would be garbage that *looks* ranked.
-  CAUSER_CHECK(m <= 65536);
-  if (ShouldParallelize(n, m, p)) {
-    DefaultPool().ParallelFor(0, n, [&](int row_begin, int row_end) {
-      TopKRowsQ(a, a_scales, b, b_scales, row_begin, row_end, m, p, k, out);
-    });
-  } else {
-    TopKRowsQ(a, a_scales, b, b_scales, 0, n, m, p, k, out);
-  }
-}
-
-namespace {
-
-/// Static catalog partition shared by both sharded kernels: shard s of S
-/// covers B rows [p*s/S, p*(s+1)/S) — the thread pool's ParallelFor
-/// formula, so the split is deterministic in (p, S) alone.
-inline int ShardBegin(int p, int S, int s) {
-  return static_cast<int>(static_cast<int64_t>(p) * s / S);
 }
 
 /// Merges S per-row k-selections (each sorted best-first, -1-padded) into
-/// the global top k under BetterEntry's total order. A globally top-k
-/// column is top-k within its own shard, so the union of the per-shard
-/// selections contains the global answer and the merge is exact — same
-/// entries, same order, same bits as the unsharded kernel.
+/// the global top k under BetterEntry. A globally top-k column is top-k
+/// within its own shard, so the union of the per-shard selections contains
+/// the global answer and the merge is exact — same entries, same order,
+/// same bits as the unsharded selection.
 void MergeShardTopK(const TopKEntry* local, int S, int n, int k,
                     TopKEntry* out) {
   std::vector<TopKEntry> cand;
@@ -472,27 +324,34 @@ void MergeShardTopK(const TopKEntry* local, int S, int n, int k,
   }
 }
 
-/// Shared driver: runs `shard_body(jb, je, local_out)` for every shard
-/// (fanning shards out over the pool — each task scores *all* n batch rows
-/// against its slice of the catalog, so parallelism no longer caps at n),
-/// times each shard when asked, then merges. The per-shard outputs live in
-/// one [S, n, k] slab.
-template <typename ShardBody>
-int RunSharded(int n, int p, int k, int shards, TopKEntry* out,
-               double* shard_seconds, const ShardBody& shard_body) {
-  int S = shards < 1 ? 1 : shards;
-  if (S > p) S = p;  // an empty shard scores nothing
-  if (S < 1) S = 1;  // p == 0: degenerate, one shard of nothing
+/// The one top-k driver behind all four entry points. One shard
+/// parallelizes over batch rows; S > 1 shards fan out over the pool — each
+/// task selects over *all* n rows against its slice of the catalog, so
+/// parallelism no longer caps at n — into one [S, n, k] slab, then merge.
+template <typename Scorer>
+int RunTopK(const Scorer& score, int n, int m, int p, int k, int shards,
+            TopKEntry* out, double* shard_seconds) {
+  const int S = std::clamp(shards, 1, std::max(p, 1));
+  if (S == 1) {
+    Stopwatch watch;
+    if (ShouldParallelize(n, m, p)) {
+      DefaultPool().ParallelFor(0, n, [&](int row_begin, int row_end) {
+        SelectTopK(score, row_begin, row_end, 0, p, k, out);
+      });
+    } else {
+      SelectTopK(score, 0, n, 0, p, k, out);
+    }
+    if (shard_seconds != nullptr) shard_seconds[0] = watch.ElapsedSeconds();
+    return 1;
+  }
   std::vector<TopKEntry> local(static_cast<size_t>(S) * n * k);
   auto run_shard = [&](int s) {
     Stopwatch watch;
-    const int jb = ShardBegin(p, S, s);
-    const int je = ShardBegin(p, S, s + 1);
-    shard_body(jb, je,
+    SelectTopK(score, 0, n, ShardBegin(p, S, s), ShardBegin(p, S, s + 1), k,
                local.data() + static_cast<size_t>(s) * n * k);
     if (shard_seconds != nullptr) shard_seconds[s] = watch.ElapsedSeconds();
   };
-  if (S > 1 && DefaultThreads() > 1 && !ThreadPool::InParallelRegion()) {
+  if (DefaultThreads() > 1 && !ThreadPool::InParallelRegion()) {
     DefaultPool().ParallelFor(0, S, [&](int begin, int end) {
       for (int s = begin; s < end; ++s) run_shard(s);
     });
@@ -505,21 +364,47 @@ int RunSharded(int n, int p, int k, int shards, TopKEntry* out,
 
 }  // namespace
 
+void MatMulTopK(const float* a, const float* b, int n, int m, int p, int k,
+                TopKEntry* out) {
+  MatMulTopKSharded(a, b, n, m, p, k, /*shards=*/1, out);
+}
+
+void MatMulTopKQ(const std::int8_t* a, const float* a_scales,
+                 const std::int8_t* b, const float* b_scales, int n, int m,
+                 int p, int k, TopKEntry* out) {
+  MatMulTopKQSharded(a, a_scales, b, b_scales, n, m, p, k, /*shards=*/1, out);
+}
+
 int MatMulTopKSharded(const float* a, const float* b, int n, int m, int p,
                       int k, int shards, TopKEntry* out,
                       double* shard_seconds) {
   if (n <= 0 || k <= 0) return 0;
-  if (shards <= 1 || p <= 1) {
-    Stopwatch watch;
-    MatMulTopK(a, b, n, m, p, k, out);
-    if (shard_seconds != nullptr) shard_seconds[0] = watch.ElapsedSeconds();
-    return 1;
-  }
-  return RunSharded(n, p, k, shards, out, shard_seconds,
-                    [&](int jb, int je, TopKEntry* local) {
-                      TopKRows(a, b + static_cast<size_t>(jb) * m, 0, n, m,
-                               je - jb, k, local, /*index_base=*/jb);
-                    });
+  const primitives::Ops& ops = primitives::Active();
+  // Each score is the zero-seeded ascending-k chain MatMulAddNaive
+  // computes: eight columns per dot8, the remainder through dot.
+  auto score = [&](int i, int j0, int w, float thr, std::int32_t* idx,
+                   float* scores) {
+    const float* ai = a + static_cast<size_t>(i) * m;
+    const float* bj = b + static_cast<size_t>(j0) * m;
+    std::fill_n(scores, w, 0.0f);
+    int j = 0;
+    for (; j + 8 <= w; j += 8) {
+      ops.dot8(m, ai, bj + static_cast<size_t>(j) * m, /*stride=*/m,
+               scores + j);
+    }
+    for (; j < w; ++j) {
+      scores[j] = ops.dot(m, ai, bj + static_cast<size_t>(j) * m);
+    }
+    int cnt = 0;
+    for (int l = 0; l < w; ++l) {
+      if (scores[l] >= thr) {
+        idx[cnt] = l;
+        scores[cnt++] = scores[l];
+      }
+    }
+    return cnt;
+  };
+  return RunTopK(score, n, m, p, k, shards, out, shard_seconds);
 }
 
 int MatMulTopKQSharded(const std::int8_t* a, const float* a_scales,
@@ -527,20 +412,25 @@ int MatMulTopKQSharded(const std::int8_t* a, const float* a_scales,
                        int m, int p, int k, int shards, TopKEntry* out,
                        double* shard_seconds) {
   if (n <= 0 || k <= 0) return 0;
+  // |sum of m products of codes in [-127, 127]| <= m * 127^2 must stay
+  // inside int32; past the documented bound the scores would wrap silently
+  // and the selection would be garbage that *looks* ranked. Checked here,
+  // before any fan-out, so a violation is one message on the caller.
   CAUSER_CHECK(m <= 65536);
-  if (shards <= 1 || p <= 1) {
-    Stopwatch watch;
-    MatMulTopKQ(a, a_scales, b, b_scales, n, m, p, k, out);
-    if (shard_seconds != nullptr) shard_seconds[0] = watch.ElapsedSeconds();
-    return 1;
-  }
-  return RunSharded(n, p, k, shards, out, shard_seconds,
-                    [&](int jb, int je, TopKEntry* local) {
-                      TopKRowsQ(a, a_scales,
-                                b + static_cast<size_t>(jb) * m,
-                                b_scales + jb, 0, n, m, je - jb, k, local,
-                                /*index_base=*/jb);
-                    });
+  const primitives::Ops& ops = primitives::Active();
+  // One gemm_panel_s8 per chunk (exact int32 dots of the codes), then the
+  // dequantize + threshold scan of ops.dequant_filter, whose score
+  // expression acc * (a_scale * b_scale) is bit-identical on every tier.
+  auto score = [&, acc = std::vector<std::int32_t>(kTopKTile)](
+                   int i, int j0, int w, float thr, std::int32_t* idx,
+                   float* scores) mutable {
+    ops.gemm_panel_s8(m, w, a + static_cast<size_t>(i) * m,
+                      b + static_cast<size_t>(j0) * m, /*stride=*/m,
+                      acc.data());
+    return ops.dequant_filter(w, acc.data(), b_scales + j0, a_scales[i], thr,
+                              idx, scores);
+  };
+  return RunTopK(score, n, m, p, k, shards, out, shard_seconds);
 }
 
 }  // namespace causer::tensor::kernels

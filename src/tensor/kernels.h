@@ -12,6 +12,14 @@ struct TopKEntry {
   float score = 0.0f;
 };
 
+/// The ranking order of every top-k here and of eval::TopK: score
+/// descending, index ascending on ties — a strict total order over the
+/// entries of one row, so a selection under it is unique.
+inline bool BetterEntry(const TopKEntry& x, const TopKEntry& y) {
+  if (x.score != y.score) return x.score > y.score;
+  return x.index < y.index;
+}
+
 /// Matmul microkernels: C[n,p] += op(A) * op(B) on raw row-major float
 /// buffers, where op transposes when the corresponding flag is set (so A is
 /// stored [m,n] under transpose_a and B is stored [p,m] under transpose_b).
@@ -52,75 +60,55 @@ void MatMulAdd(const float* a, const float* b, float* c, int n, int m, int p,
 /// Fused GEMM + top-k selection for the serving engine's catalog scoring:
 /// for every row i of A [n, m], scores all p rows of B [p, m] (both
 /// row-major, i.e. B is in transpose_b layout) by inner product and writes
-/// the k best candidates of row i into out[i*k .. i*k+k), sorted best-first.
-/// The full [n, p] score matrix is never materialized — B is streamed in
-/// cache-sized column tiles and each row keeps a bounded selection heap.
+/// the k best candidates of row i into out[i*k .. i*k+k), sorted
+/// best-first under BetterEntry. The [n, p] score matrix is never
+/// materialized: B streams in cache-sized column chunks, each scored
+/// against every row, and each row keeps a survivor buffer behind a
+/// threshold filter.
 ///
-/// Exactness: every score is the same ascending-k single-accumulator dot
-/// product MatMulAddNaive computes (from a zero accumulator — eight of
-/// them advance per dot8 call on the SIMD tiers, one output element per
-/// lane), and the selection order is eval::TopK's total order — score
-/// descending, index ascending on ties — so the result is bit-identical to
-/// a full matmul followed by eval::TopK at every thread count and on every
-/// ISA tier (rows may be sharded over the shared pool; each row's scan
-/// offers candidates in ascending j).
+/// fp32 (MatMulTopK*): every score is the zero-seeded ascending-k dot
+/// MatMulAddNaive computes, so the result is bit-identical to a full
+/// matmul followed by eval::TopK.
 ///
-/// k is clamped to [0, p]; when k > p the trailing entries of each output
-/// row keep {index = -1, score = 0}.
+/// int8 (MatMulTopKQ*): A and B are symmetric per-row int8 quantizations
+/// (codes in [-127, 127] with fp32 row scales — tensor/quant.h), and each
+/// score is the exact int32 dot of the codes dequantized once:
+///   score(i, j) = (float)sum_k a[i*m+k]*b[j*m+k] * (a_scales[i] * b_scales[j])
+/// These are *quantized approximations* of the fp32 inner products;
+/// callers that need fp32-exact scores re-rank the returned candidates
+/// with ops.dot (see serve::ServingEngine and docs/KERNELS.md "Quantized
+/// primitives"). Requires m <= 65536 so |sum| stays inside int32 —
+/// enforced with a CAUSER_CHECK on the calling thread, not silent
+/// overflow.
+///
+/// Sharding (*Sharded): B's p rows are split into `shards` contiguous
+/// ranges (shard s covers [p*s/S, p*(s+1)/S), the thread pool's static
+/// formula), shards fan out across the shared pool — so parallelism is
+/// min(S, threads) even when n = 1 — and the per-shard selections merge
+/// under BetterEntry. A global top-k item is in the top k of its own
+/// shard, so the merge is bit-identical to the unsharded selection.
+/// `shards` is clamped to [1, p]; 1 parallelizes over batch rows instead.
+/// The plain entry points are the shards = 1 case.
+///
+/// Exactness: whatever the shard count, thread count or ISA tier, every
+/// score carries the same bits and the selection is the unique k best
+/// under BetterEntry (tests/kernels_test.cc, quant_test.cc and
+/// sharding_test.cc sweep all three). k is clamped to [0, p]; when k > p
+/// the trailing entries of each output row keep {index = -1, score = 0}.
+///
+/// The *Sharded entry points return the effective shard count (0 when
+/// n <= 0 or k <= 0, which write nothing). When `shard_seconds` is
+/// non-null it must hold `shards` doubles; entries [0, returned) receive
+/// each shard's scoring wall time (the serving engine's serve.shard.*
+/// instruments — pass null to skip timing).
 void MatMulTopK(const float* a, const float* b, int n, int m, int p, int k,
                 TopKEntry* out);
-
-/// Quantized sibling of MatMulTopK for the int8 scoring path: A and B are
-/// symmetric per-row int8 quantizations (codes in [-127, 127] with fp32
-/// row scales — tensor/quant.h), and each candidate's score is the exact
-/// int32 dot of the codes dequantized once:
-///   score(i, j) = (float)sum_k a[i*m+k]*b[j*m+k] * (a_scales[i] * b_scales[j])
-/// Tiling, the bounded per-row heap, the (score desc, index asc) selection
-/// order, and the k > p tail behavior match MatMulTopK exactly.
-///
-/// Exactness: the int32 accumulation is exact, and the two fp32 multiplies
-/// happen in a fixed order in baseline-compiled code — so the output is
-/// bit-identical across ISA tiers and thread counts. The scores themselves
-/// are *quantized approximations* of the fp32 inner products; callers that
-/// need fp32-exact scores re-rank the returned candidates with ops.dot
-/// (see serve::ServingEngine and docs/KERNELS.md "Quantized primitives").
-/// Requires m <= 65536 so |sum| stays inside int32 — enforced with a
-/// CAUSER_CHECK, not silent overflow.
 void MatMulTopKQ(const std::int8_t* a, const float* a_scales,
                  const std::int8_t* b, const float* b_scales, int n, int m,
                  int p, int k, TopKEntry* out);
-
-/// Catalog-sharded MatMulTopK for serving batches whose row count is
-/// smaller than the machine: partitions B's p rows into `shards` contiguous
-/// row ranges (the thread pool's static formula: shard s covers
-/// [p*s/S, p*(s+1)/S)), scores every A row against each shard with the
-/// fused tiled GEMM + bounded-heap selection above — shards fan out across
-/// the shared pool, so parallelism is min(S, threads) even when n = 1 —
-/// then merges the S per-row k-heaps under the same (score desc, index asc)
-/// total order.
-///
-/// Exactness: every dot product is the identical zero-seeded ascending-k
-/// chain whichever shard scans its column, and a global top-k item is by
-/// definition in the top-k of its own shard, so the merged selection is
-/// *provably bit-identical* to the unsharded kernel at every shard count,
-/// thread count, and ISA tier (tests/sharding_test.cc sweeps all three).
-///
-/// `shards` is clamped to [1, p]; 1 (or n/k <= 0 like the unsharded entry
-/// points) degenerates to MatMulTopK. Returns the effective shard count.
-/// When `shard_seconds` is non-null it must hold `shards` doubles; entries
-/// [0, returned) receive each shard's scoring wall time (the serving
-/// engine's serve.shard.* instruments — pass null to skip timing).
 int MatMulTopKSharded(const float* a, const float* b, int n, int m, int p,
                       int k, int shards, TopKEntry* out,
                       double* shard_seconds = nullptr);
-
-/// Quantized sibling of MatMulTopKSharded: shards MatMulTopKQ the same way
-/// (per-shard int8 tiles, threshold priming per shard, exact int32 dots)
-/// and merges with the same total order. Per-shard selection equals the
-/// quantized bounded heap over that shard, so the merge is bit-identical
-/// to unsharded MatMulTopKQ at every shard count, thread count, and ISA
-/// tier. Same m <= 65536 precondition, same return/timing contract as
-/// MatMulTopKSharded.
 int MatMulTopKQSharded(const std::int8_t* a, const float* a_scales,
                        const std::int8_t* b, const float* b_scales, int n,
                        int m, int p, int k, int shards, TopKEntry* out,

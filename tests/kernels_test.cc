@@ -79,7 +79,9 @@ TEST(KernelEquivalenceTest, MatMulTopKMatchesNaiveGemvPlusTopK) {
   // matrix, then eval::TopK each row" bit-for-bit — same dot-product
   // rounding as MatMulAddNaive, same score-descending / index-ascending
   // total order — at every thread count, including p straddling the
-  // column-tile size and k > p (short rows padded with index -1).
+  // column-tile size, k > p (short rows padded with index -1), and a
+  // duplicate-heavy B whose exact score ties only the index-ascending
+  // tie-break can order.
   const int ns[] = {1, 3, 17};
   const int ms[] = {1, 8, 33};
   const int ps[] = {1, 7, 100, 700};
@@ -93,27 +95,37 @@ TEST(KernelEquivalenceTest, MatMulTopKMatchesNaiveGemvPlusTopK) {
           for (int k : ks) {
             auto a = RandomBuffer(static_cast<size_t>(n) * m, rng);
             auto b = RandomBuffer(static_cast<size_t>(p) * m, rng);
-            std::vector<kernels::TopKEntry> fused(static_cast<size_t>(n) *
-                                                  k);
-            kernels::MatMulTopK(a.data(), b.data(), n, m, p, k,
-                                fused.data());
-            for (int i = 0; i < n; ++i) {
-              std::vector<float> scores(p, 0.0f);
-              kernels::MatMulAddNaive(a.data() + static_cast<size_t>(i) * m,
-                                      b.data(), scores.data(), 1, m, p,
-                                      false, true);
-              auto ranked = eval::TopK(scores, k);
-              const kernels::TopKEntry* row =
-                  fused.data() + static_cast<size_t>(i) * k;
-              for (int j = 0; j < k; ++j) {
-                if (j < static_cast<int>(ranked.size())) {
-                  ASSERT_EQ(row[j].index, ranked[j])
-                      << "row " << i << " rank " << j << " n=" << n
-                      << " m=" << m << " p=" << p << " k=" << k
-                      << " threads=" << threads;
-                  ASSERT_EQ(row[j].score, scores[ranked[j]]);
-                } else {
-                  ASSERT_EQ(row[j].index, -1);
+            for (bool ties : {false, true}) {
+              SCOPED_TRACE(ties ? "duplicate-heavy B" : "random B");
+              if (ties) {
+                // Keep only B's first 5 rows, cycled over p.
+                const size_t distinct = static_cast<size_t>(5) * m;
+                for (size_t e = distinct; e < b.size(); ++e) {
+                  b[e] = b[e % distinct];
+                }
+              }
+              std::vector<kernels::TopKEntry> fused(static_cast<size_t>(n) *
+                                                    k);
+              kernels::MatMulTopK(a.data(), b.data(), n, m, p, k,
+                                  fused.data());
+              for (int i = 0; i < n; ++i) {
+                std::vector<float> scores(p, 0.0f);
+                kernels::MatMulAddNaive(a.data() + static_cast<size_t>(i) * m,
+                                        b.data(), scores.data(), 1, m, p,
+                                        false, true);
+                auto ranked = eval::TopK(scores, k);
+                const kernels::TopKEntry* row =
+                    fused.data() + static_cast<size_t>(i) * k;
+                for (int j = 0; j < k; ++j) {
+                  if (j < static_cast<int>(ranked.size())) {
+                    ASSERT_EQ(row[j].index, ranked[j])
+                        << "row " << i << " rank " << j << " n=" << n
+                        << " m=" << m << " p=" << p << " k=" << k
+                        << " threads=" << threads;
+                    ASSERT_EQ(row[j].score, scores[ranked[j]]);
+                  } else {
+                    ASSERT_EQ(row[j].index, -1);
+                  }
                 }
               }
             }

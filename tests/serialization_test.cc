@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/fault.h"
+#include "common/serial.h"
 #include "core/trainer.h"
 #include "data/generator.h"
 #include "data/split.h"
@@ -32,6 +33,24 @@ TEST(SerializationTest, RoundTripRestoresValues) {
   for (int i = 0; i < a.bias().size(); ++i)
     EXPECT_EQ(a.bias().data()[i], b.bias().data()[i]);
   std::remove(path.c_str());
+
+  // The raw serial framing round-trips too, including empty vectors, whose
+  // data() may be null when the reader fills them.
+  for (const std::vector<float>& v :
+       {std::vector<float>{}, std::vector<float>{1.5f, -2.0f}}) {
+    const std::vector<double> vd(v.begin(), v.end());
+    std::string blob;
+    serial::AppendFloats(&blob, v);
+    serial::AppendDoubles(&blob, vd);
+    serial::Reader in(blob);
+    std::vector<float> f;
+    std::vector<double> d;
+    ASSERT_TRUE(in.ReadFloats(&f));
+    ASSERT_TRUE(in.ReadDoubles(&d));
+    EXPECT_TRUE(in.AtEnd());
+    EXPECT_EQ(f, v);
+    EXPECT_EQ(d, vd);
+  }
 }
 
 TEST(SerializationTest, ShapeMismatchRejectedAtomically) {

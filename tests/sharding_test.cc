@@ -3,8 +3,8 @@
 // bit-identical to their unsharded kernels at every shard count, thread
 // count, and compiled ISA tier — including duplicate scores straddling
 // shard boundaries (the (score desc, index asc) tie-break must survive the
-// merge) and the int8 threshold-priming path across multiple column tiles
-// per shard. The store half covers the hash-partitioned SessionStore: cap
+// merge) and the threshold priming across multiple column chunks per
+// shard. The store half covers the hash-partitioned SessionStore: cap
 // splitting, per-shard intrusive LRU order, pinned-entry skips, version
 // stamps, and a concurrent Acquire/Evict/version-shift hammer that the CI
 // TSan job runs. The engine half checks the end-to-end wiring: sharded
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/cpu.h"
-#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "data/generator.h"
@@ -125,9 +124,10 @@ TEST(ShardedTopKTest, Int8BitIdenticalIncludingThresholdPriming) {
   IsaThreadGuard guard;
   Rng rng(20260816);
   const int m = 16;
-  // p = 1200 gives shards wider than one 512-column tile at small S, so
-  // the quantized path's tile-0 threshold priming runs *within* shards,
-  // not just in the unsharded reference.
+  // p = 1200 gives shards wider than one 512-column chunk at small S, so
+  // threshold priming (each range's narrow first chunk, compacted at once)
+  // is followed by filtered chunks *within* shards, not just in the
+  // unsharded reference.
   for (int p : {300, 1200}) {
     auto bf = DuplicateHeavyMatrix(p, m, /*distinct=*/7, rng);
     tensor::QuantizedMatrix qb;
@@ -300,25 +300,6 @@ TEST(ShardedSessionStoreTest, VersionMismatchRebuildsInPlace) {
   EXPECT_NE(v2.get(), v1.get());
   EXPECT_EQ(store.size(), 1);
   EXPECT_EQ(store.Acquire(7, nullptr, model, 2).get(), v2.get());
-}
-
-TEST(ShardedSessionStoreTest, ShardCountersTickOnlyWhenSharded) {
-  auto model = TinyGru();
-  metrics::SetEnabled(true);
-  auto& m = serve::ServeMetrics();
-  const double hits0 = m.shard_store_hits.Value();
-  const double misses0 = m.shard_store_misses.Value();
-  serve::SessionStore single(0, 1);
-  single.Acquire(1, nullptr, model, 1);
-  single.Acquire(1, nullptr, model, 1);
-  EXPECT_EQ(m.shard_store_hits.Value(), hits0);
-  EXPECT_EQ(m.shard_store_misses.Value(), misses0);
-  serve::SessionStore sharded(0, 4);
-  sharded.Acquire(1, nullptr, model, 1);
-  sharded.Acquire(1, nullptr, model, 1);
-  metrics::SetEnabled(false);
-  EXPECT_EQ(m.shard_store_hits.Value(), hits0 + 1);
-  EXPECT_EQ(m.shard_store_misses.Value(), misses0 + 1);
 }
 
 // The CI TSan job's target: concurrent Acquire (hits, misses, evictions),
