@@ -1,8 +1,7 @@
 // Network serving benchmark: the TCP front-end (src/serve/server.h) over
-// the micro-batched engine, exercised in-process over loopback — wire
-// encode/decode, per-connection readers, the two-lane scheduler and worker
-// handoff all included, so the delta vs. BENCH_serving.json's in-process
-// Handle numbers is the protocol + scheduling overhead.
+// the serving engine, exercised in-process over loopback — wire
+// encode/decode, per-connection readers, the two-lane scheduler and the
+// workers' batching into ScoreBatch all included.
 //
 // Closed-loop: each client thread owns one connection and one in-flight
 // request (latency here is honest per-call round-trip time; the open-loop
@@ -72,7 +71,7 @@ int main(int argc, char** argv) {
   }
 
   bench::PrintHeader(
-      "Network serving: TCP front-end over the micro-batched engine",
+      "Network serving: TCP front-end over the batched engine",
       "Wang et al., ICDE 2023 (serving engine; no paper figure)");
   SetDefaultThreads(1);
   const int per_client = smoke ? 200 : 2000;
@@ -82,7 +81,6 @@ int main(int argc, char** argv) {
   serve::ServingConfig sc;
   sc.top_k = 10;
   sc.batch_max = kClients;
-  sc.batch_wait_us = 100;
   serve::ServingEngine engine(model_a, sc);
   serve::ServerConfig server_config;
   server_config.workers = kClients;

@@ -1,8 +1,7 @@
 // Online serving benchmark: incremental session state vs. full-history
-// replay, and micro-batched GEMM + fused top-k scoring vs. per-request
-// ScoreAll.
+// replay, and batched GEMM + fused top-k scoring vs. per-request ScoreAll.
 //
-// Four sections, all single-process:
+// Three sections, all single-process:
 //   (1) incremental: advancing a cached session one interaction at a time
 //       (AdvanceState + ScoreFromState) vs. re-scoring the whole history
 //       with ScoreAll at every event, at history length 50 — for GRU4Rec
@@ -11,9 +10,7 @@
 //       [B,d] x [V,d]^T GEMM + fused top-k path vs. 32 independent
 //       ScoreAll + eval::TopK calls, plus the unbatched-incremental
 //       middle ground (cached sessions, per-request scoring);
-//   (3) latency: p50/p99 and QPS through the micro-batcher (Handle) from
-//       4 concurrent client threads;
-//   (4) quant: int8 quantized GEMM + fp32 re-rank (--quantize=int8) vs
+//   (3) quant: int8 quantized GEMM + fp32 re-rank (--quantize=int8) vs
 //       the fp32 engine on a serving-sized catalog (4096 items, d=64),
 //       with the item-table memory ratio. Exactness is checked with
 //       rerank_k = catalog (provably identical to fp32) before timing
@@ -31,11 +28,9 @@
 // arithmetic and never relaxed.
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -255,43 +250,7 @@ int main(int argc, char** argv) {
               best_batched / kBatchUsers * 1e6, batched_speedup,
               batch_exact ? "yes" : "NO");
 
-  // -- Section 3: latency through the micro-batcher -----------------------
-  const int clients = 4;
-  const int per_client = smoke ? 50 : 400;
-  std::vector<std::vector<double>> latencies(clients);
-  std::atomic<int> counter{0};
-  Stopwatch wall;
-  {
-    std::vector<std::thread> workers;
-    for (int c = 0; c < clients; ++c) {
-      workers.emplace_back([&, c] {
-        for (int i = 0; i < per_client; ++i) {
-          const serve::Request& request =
-              requests[counter.fetch_add(1) % kBatchUsers];
-          Stopwatch sw;
-          engine.Handle(request);
-          latencies[c].push_back(sw.ElapsedSeconds());
-        }
-      });
-    }
-    for (auto& worker : workers) worker.join();
-  }
-  const double wall_seconds = wall.ElapsedSeconds();
-  std::vector<double> all;
-  for (const auto& local : latencies)
-    all.insert(all.end(), local.begin(), local.end());
-  std::sort(all.begin(), all.end());
-  const double p50 = all[all.size() / 2];
-  const double p99 = all[static_cast<size_t>(0.99 * (all.size() - 1))];
-  const double qps = all.size() / wall_seconds;
-  std::printf(
-      "\nMicro-batcher latency (%d clients, %zu requests, batch-max %d, "
-      "batch-wait %dus):\n",
-      clients, all.size(), sc.batch_max, sc.batch_wait_us);
-  std::printf("  p50 %.3f ms   p99 %.3f ms   %.0f req/s\n", p50 * 1e3,
-              p99 * 1e3, qps);
-
-  // -- Section 4: int8 quantized scoring vs fp32 --------------------------
+  // -- Section 3: int8 quantized scoring vs fp32 --------------------------
   // A serving-sized catalog: the 500-item model above fits its whole score
   // pass in L2, which understates the memory-bandwidth win int8 exists for.
   constexpr int kQuantItems = 4096;
@@ -394,14 +353,6 @@ int main(int argc, char** argv) {
       .Set("batched_us", best_batched / kBatchUsers * 1e6)
       .Set("batched_speedup", batched_speedup)
       .Set("responses_exact", batch_exact);
-  bench::JsonObject latency_row;
-  latency_row.Set("clients", clients)
-      .Set("requests", static_cast<int>(all.size()))
-      .Set("batch_max", sc.batch_max)
-      .Set("batch_wait_us", sc.batch_wait_us)
-      .Set("p50_ms", p50 * 1e3)
-      .Set("p99_ms", p99 * 1e3)
-      .Set("qps", qps);
   bench::JsonObject quant_row;
   quant_row.Set("users", kBatchUsers)
       .Set("catalog", kQuantItems)
@@ -420,7 +371,6 @@ int main(int argc, char** argv) {
       .Set("threads", 1)
       .SetRaw("incremental_vs_replay", incremental_row.Str())
       .SetRaw("batched_vs_per_request", batch_row.Str())
-      .SetRaw("latency", latency_row.Str())
       .SetRaw("quant", quant_row.Str())
       .Set("gate_min_speedup", gate);
   if (!bench::WriteTextFile(out_path, report.Str())) {

@@ -1,25 +1,18 @@
-// Sharded serving benchmark: catalog-sharded fused scoring and the
-// hash-partitioned session store.
+// Sharded serving benchmark: catalog-sharded fused scoring. One
+// serving-shaped request (n = 1, d = 64, top-10) against a ~1M-item catalog
+// through MatMulTopKSharded (and the int8 sibling) at S in {1, 2, 4, 8, 16}
+// and thread counts {1, 8}. The unsharded kernel has no parallelism to
+// offer a single row — its row partition caps at n — so shard fan-out is
+// the only way this shape scales, and every sharded result is checked
+// bit-identical to unsharded first.
 //
-// Two sections, all single-process:
-//   (1) scoring: one serving-shaped request (n = 1, d = 64, top-10)
-//       against a ~1M-item catalog through MatMulTopKSharded (and the int8
-//       sibling) at S in {1, 2, 4, 8, 16} and thread counts {1, 8}. The
-//       unsharded kernel has no parallelism to offer a single row — its
-//       row partition caps at n — so shard fan-out is the only way this
-//       shape scales, and every sharded result is checked bit-identical
-//       to unsharded first;
-//   (2) store: concurrent Acquire throughput (hit path, the steady state)
-//       through a single-mutex store vs an 8-way hash-partitioned one from
-//       min(8, hardware) client threads.
-//
-// Scaling gates need cores: like bench_parallel, the report always records
-// `hardware_threads` and the bit-exactness flags gate unconditionally, but
-// the throughput gates (sharded >= 1.5x unsharded scoring in --smoke, 3x
-// full; sharded store >= 2x single-mutex) are enforced only when the host
-// has >= 2 physical workers (`gate_enforced` in the JSON says which ran) —
-// on a 1-core runner a shard fan-out degenerates to the serial loop and
-// the numbers are honest but flat.
+// The scaling gate needs cores: like bench_parallel, the report always
+// records `hardware_threads` and the bit-exactness flags gate
+// unconditionally, but the throughput gate (sharded >= 1.5x unsharded
+// scoring in --smoke, 3x full) is enforced only when the host has >= 2
+// physical workers (`gate_enforced` in the JSON says whether it ran) — on
+// a 1-core runner a shard fan-out degenerates to the serial loop and the
+// numbers are honest but flat.
 //
 // `--smoke` shrinks the catalog (65536 items) and repeats for CI; the full
 // run uses 1,000,000 items. Writes BENCH_sharding.json (path = argv[last]).
@@ -29,7 +22,6 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,7 +29,6 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "serve/session_store.h"
 #include "tensor/kernels.h"
 #include "tensor/quant.h"
 
@@ -86,21 +77,19 @@ int main(int argc, char** argv) {
   }
 
   bench::PrintHeader(
-      "Sharded scoring + sharded session store",
+      "Sharded catalog scoring",
       "Wang et al., ICDE 2023 (serving scale-out; no paper figure)");
   const int hardware = std::max(
       1, static_cast<int>(std::thread::hardware_concurrency()));
   const int catalog = smoke ? 65536 : 1000000;
   const int repeats = smoke ? 3 : 5;
-  // Throughput gates only mean something with workers to fan out to.
+  // The throughput gate only means something with workers to fan out to.
   const bool gate_enforced = hardware >= 2;
   const double scoring_gate = smoke ? 1.5 : 3.0;
-  const double store_gate = 2.0;
-  std::printf("hardware threads: %d   catalog: %d   scaling gates: %s\n",
+  std::printf("hardware threads: %d   catalog: %d   scaling gate: %s\n",
               hardware, catalog, gate_enforced ? "enforced" : "recorded only");
   bool ok = true;
 
-  // -- Section 1: sharded catalog scoring ---------------------------------
   std::vector<float> table(static_cast<size_t>(catalog) * kDim);
   std::vector<float> query(static_cast<size_t>(kRows) * kDim);
   {
@@ -191,59 +180,6 @@ int main(int argc, char** argv) {
               best_sharded_speedup, scoring_gate,
               gate_enforced ? "enforced" : "recorded");
 
-  // -- Section 2: concurrent session-store acquire ------------------------
-  // Hit-path throughput (the steady serving state): T client threads
-  // re-acquiring a resident working set. The single-mutex store serializes
-  // every lookup; the partitioned store only collides when two threads hash
-  // to one shard.
-  models::ModelConfig mconfig;
-  mconfig.num_users = 4096;
-  mconfig.num_items = 64;
-  mconfig.embedding_dim = 8;
-  mconfig.hidden_dim = 8;
-  auto model = std::make_shared<models::Gru4Rec>(mconfig);
-  const int store_threads = std::min(8, hardware);
-  const int store_users = 1024;
-  const int store_iters = smoke ? 2000 : 20000;
-  auto store_ops_per_second = [&](int shards) {
-    serve::SessionStore store(0, shards);
-    for (int u = 0; u < store_users; ++u) {
-      store.Acquire(u, nullptr, model, 1);
-    }
-    double best = 0.0;
-    for (int r = 0; r < repeats; ++r) {
-      std::vector<std::thread> workers;
-      Stopwatch sw;
-      for (int t = 0; t < store_threads; ++t) {
-        workers.emplace_back([&, t] {
-          for (int i = 0; i < store_iters; ++i) {
-            store.Acquire((t * 131 + i * 7) % store_users, nullptr, model,
-                          1);
-          }
-        });
-      }
-      for (auto& w : workers) w.join();
-      const double ops =
-          static_cast<double>(store_threads) * store_iters /
-          sw.ElapsedSeconds();
-      best = std::max(best, ops);
-    }
-    return best;
-  };
-  const double single_ops = store_ops_per_second(1);
-  const double sharded_ops = store_ops_per_second(8);
-  const double store_speedup = sharded_ops / single_ops;
-  std::printf(
-      "\nSession store, %d threads x %d hit-path acquires (%d users "
-      "resident):\n",
-      store_threads, store_iters, store_users);
-  std::printf("  single mutex (1 shard)     : %9.0f acquires/s\n",
-              single_ops);
-  std::printf("  hash-partitioned (8 shards): %9.0f acquires/s  (%.2fx, "
-              "gate %.1fx, %s)\n",
-              sharded_ops, store_speedup, store_gate,
-              gate_enforced ? "enforced" : "recorded");
-
   // -- Report -------------------------------------------------------------
   std::vector<std::string> point_rows;
   for (const ShardPoint& point : points) {
@@ -265,21 +201,12 @@ int main(int argc, char** argv) {
       .SetRaw("points", bench::JsonArray(point_rows))
       .Set("best_speedup_8t", best_sharded_speedup)
       .Set("gate_min_speedup", scoring_gate);
-  bench::JsonObject store_row;
-  store_row.Set("threads", store_threads)
-      .Set("resident_users", store_users)
-      .Set("acquires_per_thread", store_iters)
-      .Set("single_mutex_ops", single_ops)
-      .Set("sharded_8_ops", sharded_ops)
-      .Set("speedup", store_speedup)
-      .Set("gate_min_speedup", store_gate);
   bench::JsonObject report;
   report.Set("bench", std::string("bench_sharding"))
       .Set("smoke", smoke)
       .Set("hardware_threads", hardware)
       .Set("gate_enforced", gate_enforced)
-      .SetRaw("scoring", scoring_row.Str())
-      .SetRaw("store", store_row.Str());
+      .SetRaw("scoring", scoring_row.Str());
   if (!bench::WriteTextFile(out_path, report.Str())) {
     std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
     return 1;
@@ -297,12 +224,6 @@ int main(int argc, char** argv) {
                  "FATAL: sharded scoring speedup %.2fx below the %.1fx "
                  "gate\n",
                  best_sharded_speedup, scoring_gate);
-    return 1;
-  }
-  if (gate_enforced && store_speedup < store_gate) {
-    std::fprintf(stderr,
-                 "FATAL: sharded store speedup %.2fx below the %.1fx gate\n",
-                 store_speedup, store_gate);
     return 1;
   }
   return 0;

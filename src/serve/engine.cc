@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -47,7 +48,6 @@ ServingEngine::ServingEngine(
     : config_([&config] {
         ServingConfig c = config;
         c.batch_max = std::max(1, c.batch_max);
-        c.batch_wait_us = std::max(0, c.batch_wait_us);
         c.top_k = std::max(1, c.top_k);
         // A negative capacity must not silently mean unbounded: the store
         // receives the clamped value, and 0 is the documented "no cap".
@@ -55,15 +55,13 @@ ServingEngine::ServingEngine(
         // A re-rank narrower than the response would drop results.
         c.rerank_k = std::max(std::max(1, c.top_k), c.rerank_k);
         c.score_shards = std::max(1, c.score_shards);
-        c.session_shards = std::max(1, c.session_shards);
         return c;
       }()),
-      store_(config_.max_sessions, config_.session_shards) {
+      store_(config_.max_sessions) {
   CAUSER_CHECK(model != nullptr);
   served_.store(BuildServed(std::move(model), 1, "initial"),
                 std::memory_order_release);
   if (metrics::Enabled()) ServeMetrics().active_version.Set(1.0);
-  dispatcher_ = std::thread([this] { DispatcherLoop(); });
 }
 
 ServingEngine::ServingEngine(models::SequentialRecommender& model,
@@ -71,8 +69,6 @@ ServingEngine::ServingEngine(models::SequentialRecommender& model,
     : ServingEngine(std::shared_ptr<models::SequentialRecommender>(
                         &model, [](models::SequentialRecommender*) {}),
                     config) {}
-
-ServingEngine::~ServingEngine() { Stop(); }
 
 std::shared_ptr<const ServingEngine::ServedModel> ServingEngine::BuildServed(
     std::shared_ptr<models::SequentialRecommender> model, uint64_t version,
@@ -140,105 +136,34 @@ std::shared_ptr<const models::SequentialRecommender> ServingEngine::model()
   return served_.load(std::memory_order_acquire)->model;
 }
 
-void ServingEngine::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  queue_cv_.notify_all();
-  if (dispatcher_.joinable()) dispatcher_.join();
-}
+void ServingEngine::Stop() { stopped_.store(true, std::memory_order_release); }
 
 Response ServingEngine::Handle(const Request& request) {
-  Stopwatch watch;
-  Pending pending;
-  pending.request = &request;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (stop_) {
-      // The dispatcher may already have drained and exited; enqueueing now
-      // would block on done_cv_ forever. Reject instead of hanging.
-      Response rejected;
-      rejected.status = ResponseStatus::kShuttingDown;
-      return rejected;
-    }
-    queue_.push_back(&pending);
-    queue_cv_.notify_one();
-    done_cv_.wait(lock, [&] { return pending.done; });
-  }
-  if (metrics::Enabled()) {
-    ServeMetrics().request_seconds.Observe(watch.ElapsedSeconds());
-  }
-  return std::move(pending.response);
+  return ScoreBatch({request})[0];
 }
 
 std::vector<Response> ServingEngine::ScoreBatch(
     const std::vector<Request>& requests) {
-  std::vector<Pending> pendings(requests.size());
-  std::vector<Pending*> batch;
-  batch.reserve(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    pendings[i].request = &requests[i];
-    batch.push_back(&pendings[i]);
-  }
-  if (!batch.empty()) {
-    Stopwatch watch;
-    {
-      std::lock_guard<std::mutex> batch_lock(batch_mu_);
-      ProcessBatch(batch);
-    }
-    if (metrics::Enabled()) {
-      // Latency parity with Handle: the synchronous path must feed the
-      // same histogram, one observation per request, or replay/test
-      // traffic undercounts serve.request_seconds.
-      const double elapsed = watch.ElapsedSeconds();
-      for (size_t i = 0; i < batch.size(); ++i) {
-        ServeMetrics().request_seconds.Observe(elapsed);
-      }
-    }
-  }
+  if (requests.empty()) return {};
+  Stopwatch watch;
   std::vector<Response> responses;
-  responses.reserve(pendings.size());
-  for (Pending& pending : pendings) {
-    responses.push_back(std::move(pending.response));
+  {
+    std::lock_guard<std::mutex> batch_lock(batch_mu_);
+    if (stopped_.load(std::memory_order_acquire)) {
+      Response rejected;
+      rejected.status = ResponseStatus::kShuttingDown;
+      return std::vector<Response>(requests.size(), rejected);
+    }
+    responses = ProcessBatch(requests);
+  }
+  if (metrics::Enabled()) {
+    // One observation per request, including the wait for batch_mu_.
+    const double elapsed = watch.ElapsedSeconds();
+    for (size_t i = 0; i < requests.size(); ++i) {
+      ServeMetrics().request_seconds.Observe(elapsed);
+    }
   }
   return responses;
-}
-
-void ServingEngine::DispatcherLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    queue_cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (stop_) return;
-      continue;
-    }
-    // A request is waiting: linger up to batch_wait_us for peers to
-    // coalesce, but dispatch immediately once the batch is full (or on
-    // shutdown, to drain).
-    if (config_.batch_wait_us > 0 &&
-        static_cast<int>(queue_.size()) < config_.batch_max) {
-      queue_cv_.wait_for(
-          lock, std::chrono::microseconds(config_.batch_wait_us), [&] {
-            return stop_ ||
-                   static_cast<int>(queue_.size()) >= config_.batch_max;
-          });
-    }
-    std::vector<Pending*> batch;
-    while (!queue_.empty() &&
-           static_cast<int>(batch.size()) < config_.batch_max) {
-      batch.push_back(queue_.front());
-      queue_.pop_front();
-    }
-    lock.unlock();
-    {
-      std::lock_guard<std::mutex> batch_lock(batch_mu_);
-      ProcessBatch(batch);
-    }
-    lock.lock();
-    for (Pending* pending : batch) pending->done = true;
-    done_cv_.notify_all();
-  }
 }
 
 bool ServingEngine::ScoreRowsQuantized(
@@ -299,7 +224,8 @@ bool ServingEngine::ScoreRowsQuantized(
   return true;
 }
 
-void ServingEngine::ProcessBatch(const std::vector<Pending*>& batch) {
+std::vector<Response> ServingEngine::ProcessBatch(
+    const std::vector<Request>& batch) {
   const bool measure = metrics::Enabled();
   trace::TraceSpan batch_span("serve.batch");
   batch_span.AddArg("size", static_cast<double>(batch.size()));
@@ -337,7 +263,7 @@ void ServingEngine::ProcessBatch(const std::vector<Pending*>& batch) {
     Stopwatch watch;
     trace::TraceSpan span("serve.advance");
     for (size_t i = 0; i < batch.size(); ++i) {
-      const Request& request = *batch[i]->request;
+      const Request& request = batch[i];
       states[i] = store_.Acquire(request.user, request.bootstrap,
                                  served->model, served->version);
       if (request.append != nullptr) {
@@ -430,10 +356,13 @@ void ServingEngine::ProcessBatch(const std::vector<Pending*>& batch) {
     }
   }
 
+  std::vector<Response> responses;
+  responses.reserve(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
-    batch[i]->response = unique_responses[unique_of[i]];
-    batch[i]->response.model_version = served->version;
+    responses.push_back(unique_responses[unique_of[i]]);
+    responses.back().model_version = served->version;
   }
+  return responses;
 }
 
 }  // namespace causer::serve

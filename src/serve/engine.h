@@ -2,13 +2,10 @@
 #define CAUSER_SERVE_ENGINE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "data/dataset.h"
@@ -19,11 +16,8 @@ namespace causer::serve {
 
 /// Serving engine knobs.
 struct ServingConfig {
-  /// Requests coalesced into one scoring batch at most.
+  /// Most queued requests a server worker pops into one ScoreBatch call.
   int batch_max = 32;
-  /// How long the dispatcher waits for the batch to fill after the first
-  /// request arrives (0 = dispatch immediately with whatever is queued).
-  int batch_wait_us = 200;
   /// Recommendations returned per request.
   int top_k = 10;
   /// Session-store LRU capacity; 0 = unbounded (negative values are
@@ -53,12 +47,6 @@ struct ServingConfig {
   /// min(score_shards, threads) even for a single request. Clamped to at
   /// least 1; the kernel further clamps to the catalog size.
   int score_shards = 1;
-  /// Hash partitions for the session store: > 1 gives each shard its own
-  /// mutex, intrusive LRU list, and slice of max_sessions, so concurrent
-  /// Acquire calls for different users stop serializing on one lock.
-  /// Clamped to at least 1 (and by the store to max_sessions when the
-  /// cache is bounded, so no shard gets a zero = unbounded cap).
-  int session_shards = 1;
 };
 
 /// One scoring request. Pointed-to data must stay alive until the call
@@ -76,10 +64,7 @@ struct Request {
 /// Why a Response carries no recommendations.
 enum class ResponseStatus : uint8_t {
   kOk = 0,
-  /// The engine was stopping when the request arrived; nothing was scored.
-  /// Handle fails fast with this instead of enqueueing onto a dispatcher
-  /// that already drained and exited (which would hang the caller forever)
-  /// — the contract the server's graceful drain is built on.
+  /// The engine was stopped when the request arrived; nothing was scored.
   kShuttingDown = 1,
 };
 
@@ -96,11 +81,15 @@ struct Response {
 };
 
 /// Online inference engine: a session store for O(1) incremental advances
-/// plus a micro-batcher that coalesces concurrent requests and scores them
-/// with one batched GEMM + fused top-k pass (kernels::MatMulTopK) when the
-/// model exposes the single-inner-product form (StateRep/OutputItemTable),
-/// falling back to per-request ScoreFromState otherwise (Causer's grouped
-/// scoring). See docs/ARCHITECTURE.md for the request data flow.
+/// plus one batch scorer. ScoreBatch advances every request's session and
+/// scores the batch with one batched GEMM + fused top-k pass
+/// (kernels::MatMulTopK) when the model exposes the single-inner-product
+/// form (StateRep/OutputItemTable), falling back to per-request
+/// ScoreFromState otherwise (Causer's grouped scoring). The engine has no
+/// queue and starts no thread: its callers form the batches (the server's
+/// workers pop up to batch_max queued requests each), and one mutex runs
+/// their batches one at a time. See docs/ARCHITECTURE.md for the request
+/// data flow.
 ///
 /// The model is hot-swappable: Reload() publishes a new version through an
 /// atomic shared_ptr (epoch swap). Each batch pins the version live when
@@ -117,25 +106,23 @@ class ServingEngine {
   /// (tests, benches, single-model embedders).
   ServingEngine(models::SequentialRecommender& model,
                 const ServingConfig& config);
-  ~ServingEngine();
 
   ServingEngine(const ServingEngine&) = delete;
   ServingEngine& operator=(const ServingEngine&) = delete;
 
-  /// Thread-safe blocking call: enqueues the request, wakes the dispatcher
-  /// and returns when the coalesced batch containing it was scored. Once
-  /// the engine is stopping it returns a kShuttingDown Response instead of
-  /// blocking; requests enqueued before the stop are still drained.
+  /// Scores one request as a batch of one: ScoreBatch({request})[0].
   Response Handle(const Request& request);
 
-  /// Stops the dispatcher: requests already queued are drained and
-  /// answered, later Handle calls fail fast with kShuttingDown.
-  /// Idempotent; the destructor calls it.
+  /// Stops scoring: a batch already running finishes, and every later
+  /// Handle/ScoreBatch call answers kShuttingDown without scoring.
+  /// Idempotent.
   void Stop();
 
-  /// Synchronous batch path bypassing the batcher (deterministic; used by
-  /// tests, benches and single-threaded replay). Requests for the same
-  /// user are advanced in order and score the same final session state.
+  /// Advances each request's session in order, then scores the batch
+  /// against one pinned model version. Requests for the same user fold
+  /// into one session: each append lands in order and every duplicate
+  /// scores the final state. Thread-safe and blocking; concurrent calls
+  /// run one at a time.
   std::vector<Response> ScoreBatch(const std::vector<Request>& requests);
 
   /// Hot-swaps the served model: rebuilds the int8 quantized item table
@@ -162,12 +149,6 @@ class ServingEngine {
   std::shared_ptr<const models::SequentialRecommender> model() const;
 
  private:
-  struct Pending {
-    const Request* request = nullptr;
-    Response response;
-    bool done = false;
-  };
-
   /// One published model version plus its serving-side derived state.
   /// Immutable after publish; batches pin it with one atomic shared_ptr
   /// load and keep it for the whole batch.
@@ -186,10 +167,10 @@ class ServingEngine {
       std::shared_ptr<models::SequentialRecommender> model, uint64_t version,
       const std::string& source);
 
-  void DispatcherLoop();
-  /// Advances every request's session, then scores them (batched GEMM +
-  /// fused top-k when available). Fills each Pending's response.
-  void ProcessBatch(const std::vector<Pending*>& batch);
+  /// ScoreBatch's body, run under batch_mu_: advances every request's
+  /// session, then scores them (batched GEMM + fused top-k when
+  /// available). Returns one response per request, in order.
+  std::vector<Response> ProcessBatch(const std::vector<Request>& requests);
   /// Int8 path of ProcessBatch's scoring phase: quantizes the packed
   /// [rows, dim] reps per row, runs the quantized fused top-rerank_k
   /// (kernels::MatMulTopKQ) against `served`'s table, then re-scores the
@@ -209,13 +190,10 @@ class ServingEngine {
   std::atomic<std::shared_ptr<const ServedModel>> served_;
   std::mutex reload_mu_;  // serializes writers (Reload)
 
-  std::mutex mu_;
-  std::mutex batch_mu_;  // serializes ProcessBatch (dispatcher vs ScoreBatch)
-  std::condition_variable queue_cv_;  // dispatcher waits for work here
-  std::condition_variable done_cv_;   // callers wait for their response
-  std::deque<Pending*> queue_;
-  bool stop_ = false;
-  std::thread dispatcher_;
+  /// The one serving lock: ProcessBatch, and with it every session-store
+  /// Acquire and state advance, runs under it.
+  std::mutex batch_mu_;
+  std::atomic<bool> stopped_{false};
 };
 
 }  // namespace causer::serve

@@ -249,8 +249,10 @@ void Server::ReaderLoop(std::shared_ptr<Connection> conn) {
 }
 
 void Server::WorkerLoop() {
+  const size_t batch_max = static_cast<size_t>(engine_.config().batch_max);
+  std::vector<std::unique_ptr<Job>> jobs;
   for (;;) {
-    std::unique_ptr<Job> job;
+    jobs.clear();
     {
       std::unique_lock<std::mutex> lock(sched_mu_);
       sched_cv_.wait(lock, [&] {
@@ -261,19 +263,23 @@ void Server::WorkerLoop() {
         return work || done;
       });
       if (high_lane_.empty() && normal_lane_.empty()) return;  // drained
-      auto& lane = !high_lane_.empty() ? high_lane_ : normal_lane_;
-      job = std::move(lane.front());
-      lane.pop_front();
-      ++in_flight_jobs_;
+      // One batch of everything queued, up to batch_max, high lane first.
+      for (auto* lane : {&high_lane_, &normal_lane_}) {
+        while (!lane->empty() && jobs.size() < batch_max) {
+          jobs.push_back(std::move(lane->front()));
+          lane->pop_front();
+        }
+      }
+      in_flight_jobs_ += static_cast<int>(jobs.size());
       if (metrics::Enabled()) {
         ServerMetrics().queue_depth.Set(
             static_cast<double>(high_lane_.size() + normal_lane_.size()));
       }
     }
-    ProcessJob(*job);
+    ProcessJobs(jobs);
     {
       std::lock_guard<std::mutex> lock(sched_mu_);
-      --in_flight_jobs_;
+      in_flight_jobs_ -= static_cast<int>(jobs.size());
       if (draining_ && in_flight_jobs_ == 0 && high_lane_.empty() &&
           normal_lane_.empty()) {
         drained_cv_.notify_all();
@@ -283,47 +289,62 @@ void Server::WorkerLoop() {
   }
 }
 
-void Server::ProcessJob(Job& job) {
+void Server::ProcessJobs(const std::vector<std::unique_ptr<Job>>& jobs) {
   const bool measure = metrics::Enabled();
-  trace::TraceSpan span("server.request");
-  span.AddArg("priority", static_cast<double>(job.priority));
+  trace::TraceSpan span("server.batch");
+  span.AddArg("size", static_cast<double>(jobs.size()));
   const auto popped = std::chrono::steady_clock::now();
-  if (measure) {
-    ServerMetrics().queue_seconds.Observe(
-        std::chrono::duration<double>(popped - job.admitted).count());
-  }
 
-  wire::ResponseFrame response;
-  response.request_id = job.request_id;
-  if (job.has_deadline && popped > job.deadline) {
-    // Expired while queued: reject before spending scoring work on a
-    // response the client already gave up on.
-    response.status = wire::Status::kDeadlineExceeded;
-    if (measure) ServerMetrics().rejected_deadline.Add();
-  } else {
+  std::vector<wire::ResponseFrame> responses(jobs.size());
+  std::vector<Request> requests;
+  std::vector<size_t> scored;  // job index of each request
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    const Job& job = *jobs[i];
+    if (measure) {
+      ServerMetrics().queue_seconds.Observe(
+          std::chrono::duration<double>(popped - job.admitted).count());
+    }
+    responses[i].request_id = job.request_id;
+    if (job.has_deadline && popped > job.deadline) {
+      // Expired while queued: reject before spending scoring work on a
+      // response the client already gave up on.
+      responses[i].status = wire::Status::kDeadlineExceeded;
+      if (measure) ServerMetrics().rejected_deadline.Add();
+      continue;
+    }
     Request request;
     request.user = job.user;
     if (job.has_append) request.append = &job.append;
     request.bootstrap = &job.bootstrap;
-    Response scored = engine_.Handle(request);
-    if (scored.status == ResponseStatus::kOk) {
+    requests.push_back(request);
+    scored.push_back(i);
+  }
+
+  std::vector<Response> results = engine_.ScoreBatch(requests);
+  for (size_t r = 0; r < results.size(); ++r) {
+    Response& result = results[r];
+    wire::ResponseFrame& response = responses[scored[r]];
+    if (result.status == ResponseStatus::kOk) {
       response.status = wire::Status::kOk;
-      // The version that actually scored this request — not the currently
+      // The version that actually scored this batch — not the currently
       // active one, which a concurrent reload may already have advanced.
-      response.model_version = static_cast<uint32_t>(scored.model_version);
-      response.items.assign(scored.items.begin(), scored.items.end());
-      response.scores = std::move(scored.scores);
+      response.model_version = static_cast<uint32_t>(result.model_version);
+      response.items.assign(result.items.begin(), result.items.end());
+      response.scores = std::move(result.scores);
     } else {
       response.status = wire::Status::kShuttingDown;
       if (measure) ServerMetrics().rejected_shutdown.Add();
     }
   }
-  WriteResponse(*job.conn, response);
-  if (measure) {
-    ServerMetrics().request_seconds.Observe(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      job.admitted)
-            .count());
+
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    WriteResponse(*jobs[i]->conn, responses[i]);
+    if (measure) {
+      ServerMetrics().request_seconds.Observe(
+          std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        jobs[i]->admitted)
+              .count());
+    }
   }
 }
 

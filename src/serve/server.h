@@ -18,8 +18,8 @@
 
 namespace causer::serve {
 
-/// Network front-end knobs. The engine's own knobs (batch_max,
-/// batch_wait_us, top_k, max_sessions) stay on ServingConfig.
+/// Network front-end knobs. The engine's own knobs (batch_max, top_k,
+/// max_sessions) stay on ServingConfig.
 struct ServerConfig {
   /// Numeric IPv4 address to bind.
   std::string host = "127.0.0.1";
@@ -28,8 +28,8 @@ struct ServerConfig {
   /// Admission cap: requests queued across both priority lanes beyond
   /// which new arrivals are rejected with kQueueFull (backpressure).
   int queue_depth = 256;
-  /// Scheduler threads pulling lane work into the engine; concurrent
-  /// workers are what the micro-batcher coalesces into one GEMM.
+  /// Scheduler threads pulling lane work into the engine. Each pop takes
+  /// everything queued, up to the engine's batch_max, as one batch.
   int workers = 2;
   /// Default per-request deadline applied when a frame carries 0;
   /// 0 = no deadline.
@@ -53,10 +53,13 @@ struct ServerConfig {
 /// Self-contained TCP front-end over a ServingEngine: a blocking accept
 /// loop (one reader thread per connection, pipelining allowed), a two-lane
 /// priority scheduler with per-request deadlines and queue-depth admission
-/// control, and worker threads that feed the engine's micro-batcher.
-/// Graceful drain: BeginDrain() stops accepting and admitting while queued
-/// and in-flight requests complete; Shutdown() then closes every
-/// connection, so no client is left hanging. Wire format: protocol.h.
+/// control, and worker threads. The lanes are the only request queue: a
+/// worker pops whatever is queued, up to the engine's batch_max and high
+/// lane first, answers expired deadlines, and scores the rest with one
+/// ServingEngine::ScoreBatch call. Graceful drain: BeginDrain() stops
+/// accepting and admitting while queued and in-flight requests complete;
+/// Shutdown() then closes every connection, so no client is left hanging.
+/// Wire format: protocol.h.
 class Server {
  public:
   Server(ServingEngine& engine, const ServerConfig& config);
@@ -119,9 +122,9 @@ class Server {
   void AcceptLoop();
   void ReaderLoop(std::shared_ptr<Connection> conn);
   void WorkerLoop();
-  /// Scores one popped job through the engine (or rejects it on an
-  /// expired deadline) and writes its response.
-  void ProcessJob(Job& job);
+  /// Answers one popped batch: rejects expired deadlines, scores the live
+  /// jobs with one ScoreBatch call, and writes every response in pop order.
+  void ProcessJobs(const std::vector<std::unique_ptr<Job>>& jobs);
   void WriteResponse(Connection& conn, const wire::ResponseFrame& frame);
   void Reject(Connection& conn, uint32_t request_id, wire::Status status);
 

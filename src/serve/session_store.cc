@@ -12,8 +12,8 @@ ServeMetricsT& ServeMetrics() {
       metrics::GetCounter("serve.requests_total", "requests",
                           "Scoring requests handled by the serving engine."),
       metrics::GetCounter("serve.batches_total", "batches",
-                          "Micro-batches dispatched (coalesced request "
-                          "groups scored together)."),
+                          "Scoring batches (ScoreBatch calls; a server "
+                          "worker's popped requests are one batch)."),
       metrics::GetCounter("serve.session_hits_total", "hits",
                           "Requests whose user already had a cached "
                           "incremental session state."),
@@ -25,11 +25,11 @@ ServeMetricsT& ServeMetrics() {
       metrics::GetGauge("serve.sessions", "sessions",
                         "Incremental session states currently cached."),
       metrics::GetHistogram("serve.batch_size", "requests",
-                            "Requests coalesced per dispatched micro-batch.",
+                            "Requests per scoring batch.",
                             {1, 2, 4, 8, 16, 32, 64, 128}),
       metrics::GetHistogram("serve.request_seconds", "seconds",
-                            "End-to-end request latency through the "
-                            "micro-batcher (enqueue to response).",
+                            "Request latency through ScoreBatch, waiting "
+                            "for the batch lock included.",
                             metrics::ExponentialBuckets(1e-6, 10.0, 8)),
       metrics::GetHistogram("serve.advance_seconds", "seconds",
                             "Wall time of a batch's session-advance phase.",
@@ -40,13 +40,13 @@ ServeMetricsT& ServeMetrics() {
                             "fallback).",
                             metrics::ExponentialBuckets(1e-6, 10.0, 8)),
       metrics::GetCounter("serve.quant.batches_total", "batches",
-                          "Micro-batches scored through the int8 quantized "
+                          "Batches scored through the int8 quantized "
                           "GEMM + fp32 re-rank path."),
       metrics::GetCounter("serve.quant.rerank_candidates_total", "candidates",
                           "Int8 top-k candidates re-scored exactly in fp32 "
                           "before the final selection."),
       metrics::GetCounter("serve.quant.fallbacks_total", "batches",
-                          "Micro-batches that requested int8 scoring but ran "
+                          "Batches that requested int8 scoring but ran "
                           "fp32 (no quantized table, or non-finite "
                           "activations)."),
       metrics::GetCounter("serve.reload.reloads_total", "reloads",
@@ -80,82 +80,47 @@ ServeMetricsT& ServeMetrics() {
   return m;
 }
 
-namespace {
+SessionStore::SessionStore(int max_sessions)
+    : cap_(std::max(0, max_sessions)) {}
 
-/// SplitMix64 finalizer: users are often dense small integers, and `id % S`
-/// would map contiguous user ranges onto the same few shards under batched
-/// traffic. The mix spreads any id distribution uniformly.
-inline uint64_t MixUser(int user) {
-  uint64_t h = static_cast<uint64_t>(static_cast<uint32_t>(user));
-  h += 0x9e3779b97f4a7c15ull;
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
-  return h ^ (h >> 31);
-}
-
-}  // namespace
-
-SessionStore::SessionStore(int max_sessions, int shards) {
-  int count = std::max(1, shards);
-  if (max_sessions > 0) {
-    // Every shard of a bounded store must own at least one slot, or a
-    // zero-cap shard would silently mean "unbounded" for its users.
-    count = std::min(count, max_sessions);
-  }
-  shards_.reserve(count);
-  const int base = max_sessions > 0 ? max_sessions / count : 0;
-  const int remainder = max_sessions > 0 ? max_sessions % count : 0;
-  for (int s = 0; s < count; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->cap = max_sessions > 0 ? base + (s < remainder ? 1 : 0) : 0;
-    shards_.push_back(std::move(shard));
-  }
-}
-
-SessionStore::Shard& SessionStore::ShardOf(int user) {
-  return *shards_[MixUser(user) % shards_.size()];
-}
-
-void SessionStore::Unlink(Shard& shard, Entry* entry) {
+void SessionStore::Unlink(Entry* entry) {
   if (entry->newer != nullptr) {
     entry->newer->older = entry->older;
   } else {
-    shard.mru = entry->older;
+    mru_ = entry->older;
   }
   if (entry->older != nullptr) {
     entry->older->newer = entry->newer;
   } else {
-    shard.lru = entry->newer;
+    lru_ = entry->newer;
   }
   entry->newer = entry->older = nullptr;
 }
 
-void SessionStore::PushMru(Shard& shard, Entry* entry) {
+void SessionStore::PushMru(Entry* entry) {
   entry->newer = nullptr;
-  entry->older = shard.mru;
-  if (shard.mru != nullptr) shard.mru->newer = entry;
-  shard.mru = entry;
-  if (shard.lru == nullptr) shard.lru = entry;
+  entry->older = mru_;
+  if (mru_ != nullptr) mru_->newer = entry;
+  mru_ = entry;
+  if (lru_ == nullptr) lru_ = entry;
 }
 
-void SessionStore::EvictUnderCap(Shard& shard, bool measure) {
+void SessionStore::EvictUnderCap(bool measure) {
   // O(1) per victim: the LRU end of the intrusive list *is* the oldest
   // entry — no full-map stamp scan. Entries pinned by an in-flight batch
   // (use_count > 1: the map holds one reference, handles the rest) are
   // walked past, not evicted: dropping one's map entry mid-batch would
   // fork the user's session, and its memory would survive anyway. With
-  // every entry pinned the shard transiently exceeds its cap by at most
+  // every entry pinned the store transiently exceeds its cap by at most
   // the batch size; the next unpinned Acquire shrinks it back.
-  while (shard.cap > 0 &&
-         static_cast<int>(shard.sessions.size()) >= shard.cap) {
-    Entry* victim = shard.lru;
+  while (cap_ > 0 && static_cast<int>(sessions_.size()) >= cap_) {
+    Entry* victim = lru_;
     while (victim != nullptr && victim->state.use_count() > 1) {
       victim = victim->newer;  // pinned: skip toward the MRU end
     }
     if (victim == nullptr) break;  // everything pinned: overshoot
-    Unlink(shard, victim);
-    shard.sessions.erase(victim->user);
-    size_.fetch_sub(1, std::memory_order_relaxed);
+    Unlink(victim);
+    sessions_.erase(victim->user);
     if (measure) ServeMetrics().evictions.Add();
   }
 }
@@ -165,14 +130,13 @@ SessionStore::Handle SessionStore::Acquire(
     const std::shared_ptr<models::SequentialRecommender>& model,
     uint64_t version) {
   const bool measure = metrics::Enabled();
-  Shard& shard = ShardOf(user);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.sessions.find(user);
-  if (it != shard.sessions.end()) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = sessions_.find(user);
+  if (it != sessions_.end()) {
     if (it->second.version == version) {
-      // Touch: move to the MRU end of this shard's recency list.
-      Unlink(shard, &it->second);
-      PushMru(shard, &it->second);
+      // Touch: move to the MRU end of the recency list.
+      Unlink(&it->second);
+      PushMru(&it->second);
       if (measure) ServeMetrics().session_hits.Add();
       return it->second.state;
     }
@@ -182,12 +146,11 @@ SessionStore::Handle SessionStore::Acquire(
     // pinning the old state keeps it alive, and that handle's batch pins
     // the ServedModel it started on, so the state cannot outlive its
     // weights.
-    Unlink(shard, &it->second);
-    shard.sessions.erase(it);
-    size_.fetch_sub(1, std::memory_order_relaxed);
+    Unlink(&it->second);
+    sessions_.erase(it);
     if (measure) ServeMetrics().stale_rebuilds.Add();
   }
-  EvictUnderCap(shard, measure);
+  EvictUnderCap(measure);
   Entry entry;
   entry.state = model->NewSessionState(user);
   entry.model = model;
@@ -205,32 +168,30 @@ SessionStore::Handle SessionStore::Acquire(
       model->AdvanceState(*entry.state, (*bootstrap)[i]);
     }
   }
-  auto [pos, inserted] = shard.sessions.emplace(user, std::move(entry));
+  auto [pos, inserted] = sessions_.emplace(user, std::move(entry));
   CAUSER_CHECK(inserted);
-  PushMru(shard, &pos->second);
-  const int total = size_.fetch_add(1, std::memory_order_relaxed) + 1;
+  PushMru(&pos->second);
   if (measure) {
     ServeMetrics().session_misses.Add();
-    ServeMetrics().sessions.Set(static_cast<double>(total));
+    ServeMetrics().sessions.Set(static_cast<double>(sessions_.size()));
   }
   return pos->second.state;
 }
 
 void SessionStore::Evict(int user) {
-  Shard& shard = ShardOf(user);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.sessions.find(user);
-  if (it == shard.sessions.end()) return;
-  Unlink(shard, &it->second);
-  shard.sessions.erase(it);
-  const int total = size_.fetch_sub(1, std::memory_order_relaxed) - 1;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = sessions_.find(user);
+  if (it == sessions_.end()) return;
+  Unlink(&it->second);
+  sessions_.erase(it);
   if (metrics::Enabled()) {
-    ServeMetrics().sessions.Set(static_cast<double>(total));
+    ServeMetrics().sessions.Set(static_cast<double>(sessions_.size()));
   }
 }
 
 int SessionStore::size() const {
-  return size_.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  return static_cast<int>(sessions_.size());
 }
 
 }  // namespace causer::serve

@@ -1,7 +1,6 @@
 #ifndef CAUSER_SERVE_SESSION_STORE_H_
 #define CAUSER_SERVE_SESSION_STORE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -52,18 +51,11 @@ ServeMetricsT& ServeMetrics();
 /// is lazily rebuilt by bootstrap replay on its next touch — a state is
 /// never advanced or scored by a model other than the one that created it.
 ///
-/// The map is hash-partitioned into `shards` independent shards, each with
-/// its own mutex, intrusive LRU list, and slice of the capacity — so
-/// concurrent Acquire calls for different users stop serializing on one
-/// lock (the single-mutex store was the first wall on the way to
-/// million-user state; bench/bench_sharding.cc measures the difference).
-/// A user's shard is a pure function of the user id, so per-user ordering
-/// guarantees are untouched. Eviction is O(1) per victim: each shard keeps
-/// recency as a doubly-linked list threaded through its entries instead of
-/// scanning the whole map for the oldest stamp.
-///
-/// Thread-safe; states themselves are handed out under the engine's
-/// serialization (one dispatcher advances them).
+/// One mutex guards one map and one recency list. Eviction is O(1) per
+/// victim: recency is a doubly-linked list threaded through the entries,
+/// so the oldest entry is its tail, not the result of a map scan. The
+/// lock is never contended in serving: the engine acquires and advances
+/// sessions only under its own batch lock.
 class SessionStore {
  public:
   /// Shared ownership of a cached session. Holding a Handle pins the state:
@@ -73,11 +65,8 @@ class SessionStore {
   /// the map entry; the state itself lives until its last Handle releases.
   using Handle = std::shared_ptr<models::SessionState>;
 
-  /// `max_sessions` == 0 means unbounded (the engine clamps negatives).
-  /// `shards` is clamped to [1, max(1, max_sessions)] so every shard owns
-  /// at least one slot of a bounded cache; the global cap is split across
-  /// shards (first `max_sessions % shards` shards hold the remainder).
-  explicit SessionStore(int max_sessions, int shards = 1);
+  /// `max_sessions` <= 0 means unbounded.
+  explicit SessionStore(int max_sessions);
 
   /// Returns the session for `user` under `model`/`version`, creating it
   /// on miss — replaying `bootstrap` (may be null = start empty) into the
@@ -87,7 +76,7 @@ class SessionStore {
   /// entry co-owns `model`, so a pinned pre-reload state can never outlive
   /// its weights. The handle keeps the state alive across evictions; drop
   /// it when the request's batch completes so the LRU cap can reclaim the
-  /// entry. Only the user's shard is locked.
+  /// entry.
   Handle Acquire(int user, const std::vector<data::Step>* bootstrap,
                  const std::shared_ptr<models::SequentialRecommender>& model,
                  uint64_t version);
@@ -95,11 +84,8 @@ class SessionStore {
   /// Drops a user's session (testing / explicit logout).
   void Evict(int user);
 
-  /// Cached sessions across all shards (atomic counter, no locks).
+  /// Cached sessions.
   int size() const;
-
-  /// The hash-partition count after clamping.
-  int shards() const { return static_cast<int>(shards_.size()); }
 
  private:
   struct Entry {
@@ -109,34 +95,26 @@ class SessionStore {
     std::shared_ptr<models::SequentialRecommender> model;
     uint64_t version = 0;  // engine model version that built the state
     int user = 0;          // map key, for list-driven erasure
-    /// Intrusive recency list: `newer` points toward the shard's MRU end,
-    /// `older` toward the LRU end. unordered_map nodes are address-stable,
-    /// so the links survive rehashing.
+    /// Intrusive recency list: `newer` points toward the MRU end, `older`
+    /// toward the LRU end. unordered_map nodes are address-stable, so the
+    /// links survive rehashing.
     Entry* newer = nullptr;
     Entry* older = nullptr;
   };
 
-  /// One hash partition: private lock, private map, private recency list,
-  /// private slice of the global capacity.
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<int, Entry> sessions;
-    Entry* mru = nullptr;  ///< most recently used
-    Entry* lru = nullptr;  ///< least recently used (first eviction victim)
-    int cap = 0;           ///< 0 = unbounded
-  };
+  /// Removes `entry` from the recency list (list only, not the map).
+  void Unlink(Entry* entry);
+  /// Prepends `entry` at the MRU end.
+  void PushMru(Entry* entry);
+  /// Evicts unpinned LRU entries until the store is under its cap (or only
+  /// pinned entries remain). Caller holds mu_.
+  void EvictUnderCap(bool measure);
 
-  Shard& ShardOf(int user);
-  /// Removes `entry` from `shard`'s recency list (list only, not the map).
-  static void Unlink(Shard& shard, Entry* entry);
-  /// Prepends `entry` at `shard`'s MRU end.
-  static void PushMru(Shard& shard, Entry* entry);
-  /// Evicts unpinned LRU entries until the shard is under its cap (or only
-  /// pinned entries remain). Caller holds the shard lock.
-  void EvictUnderCap(Shard& shard, bool measure);
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<int> size_{0};
+  const int cap_;  ///< 0 = unbounded
+  mutable std::mutex mu_;
+  std::unordered_map<int, Entry> sessions_;
+  Entry* mru_ = nullptr;  ///< most recently used
+  Entry* lru_ = nullptr;  ///< least recently used (first eviction victim)
 };
 
 }  // namespace causer::serve

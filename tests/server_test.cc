@@ -1,7 +1,8 @@
 // TCP front-end suite (src/serve/server.h): wire round-trips must equal
 // eval::TopK of the model's scores, malformed/out-of-range requests must be
 // rejected without killing the connection, the scheduler must honor
-// queue-depth admission, per-request deadlines and priority lanes, and
+// queue-depth admission, per-request deadlines and priority lanes, a worker
+// must score everything queued as one batch, and
 // graceful drain must answer every admitted request and cleanly reject
 // every later one — no client left blocked — at 1 and 8 workers.
 
@@ -13,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/net.h"
 #include "data/generator.h"
 #include "data/split.h"
@@ -230,6 +232,49 @@ TEST(ServerTest, HighPriorityLaneSchedulesAheadOfNormal) {
   EXPECT_EQ(second.request_id, 1u);
   EXPECT_EQ(second.status, wire::Status::kOk);
   server.Shutdown();
+}
+
+// The lanes are the only request queue: a worker pops everything queued
+// (up to batch_max) as one batch and scores it with one ScoreBatch call.
+TEST(ServerTest, WorkerScoresEverythingQueuedAsOneBatch) {
+  auto model = TinyModel();
+  ServingConfig sc;
+  sc.top_k = 3;
+  ServingEngine engine(*model, sc);
+  ServerConfig config;
+  config.workers = 1;
+  Server server(engine, config);
+  ASSERT_TRUE(server.Start());
+  server.PauseWorkersForTest(true);
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
+  for (int index = 0; index < 3; ++index) {
+    wire::RequestFrame request;
+    request.request_id = static_cast<uint32_t>(index);
+    request.user = WireUser(index);
+    request.bootstrap = WireHistory(index);
+    ASSERT_TRUE(client.Send(request));
+  }
+  SpinUntil([&] { return server.queue_size() == 3; });
+  metrics::SetEnabled(true);
+  const uint64_t batches_before = ServeMetrics().batches.Value();
+  const uint64_t sizes_before = ServeMetrics().batch_size.Count();
+  const double size_sum_before = ServeMetrics().batch_size.Sum();
+  server.PauseWorkersForTest(false);
+  for (int index = 0; index < 3; ++index) {
+    wire::ResponseFrame response;
+    ASSERT_TRUE(client.Receive(&response));
+    EXPECT_EQ(response.request_id, static_cast<uint32_t>(index));
+    ExpectTopKOf(response, *model, index);
+  }
+  server.Shutdown();
+  const uint64_t batches = ServeMetrics().batches.Value() - batches_before;
+  const uint64_t sizes = ServeMetrics().batch_size.Count() - sizes_before;
+  const double size_sum = ServeMetrics().batch_size.Sum() - size_sum_before;
+  metrics::SetEnabled(false);
+  EXPECT_EQ(batches, 1u);
+  EXPECT_EQ(sizes, 1u);
+  EXPECT_EQ(size_sum, 3.0);
 }
 
 /// Drain contract at a given worker count: every admitted request is

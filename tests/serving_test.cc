@@ -170,7 +170,6 @@ TEST(ServingEngineTest, BatchedResponsesMatchScoreAllTopK) {
   core::TrainCauser(model, TinySplit(), {.max_epochs = 2, .patience = 1});
   ServingConfig sc;
   sc.batch_max = 8;
-  sc.batch_wait_us = 1000;
   sc.top_k = 5;
   ServingEngine engine(model, sc);
   const int num_clients = 8;
@@ -303,9 +302,8 @@ TEST(ServingEngineTest, SessionStoreEvictsLruAndRebuildsFromBootstrap) {
   }
 }
 
-// Regression: a Handle racing engine shutdown used to enqueue onto a
-// dispatcher that had already drained and exited, blocking on done_cv_
-// forever. It must fail fast with kShuttingDown instead.
+// After Stop, Handle must answer kShuttingDown at once: no scoring, no
+// blocking.
 TEST(ServingEngineTest, HandleAfterStopFailsFastInsteadOfHanging) {
   models::ModelConfig config;
   config.num_users = TinyData().num_users;
@@ -354,9 +352,9 @@ TEST(ServingEngineTest, NegativeMaxSessionsClampsToUnbounded) {
   EXPECT_EQ(engine.store().size(), 6);
 }
 
-// serve.request_seconds must count one observation per request on both the
-// micro-batcher path (Handle) and the synchronous path (ScoreBatch), or
-// latency histograms undercount under test/replay traffic.
+// serve.request_seconds must count one observation per request on both
+// Handle and ScoreBatch, or latency histograms undercount under test/replay
+// traffic.
 TEST(ServingEngineTest, RequestSecondsObservedOnBothPaths) {
   models::ModelConfig config;
   config.num_users = TinyData().num_users;
@@ -377,7 +375,7 @@ TEST(ServingEngineTest, RequestSecondsObservedOnBothPaths) {
   }
   engine.ScoreBatch(requests);  // synchronous path: 3 requests
   for (int u = 0; u < 2; ++u) {
-    engine.Handle(requests[u]);  // micro-batcher path: 2 requests
+    engine.Handle(requests[u]);  // batches of one: 2 requests
   }
   const uint64_t observed = ServeMetrics().request_seconds.Count() - before;
   const uint64_t counted = ServeMetrics().requests.Value() - before_requests;

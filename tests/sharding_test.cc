@@ -4,11 +4,11 @@
 // count, and compiled ISA tier — including duplicate scores straddling
 // shard boundaries (the (score desc, index asc) tie-break must survive the
 // merge) and the threshold priming across multiple column chunks per
-// shard. The store half covers the hash-partitioned SessionStore: cap
-// splitting, per-shard intrusive LRU order, pinned-entry skips, version
-// stamps, and a concurrent Acquire/Evict/version-shift hammer that the CI
-// TSan job runs. The engine half checks the end-to-end wiring: sharded
-// config serves byte-identical responses, fp32 and int8.
+// shard. The store half covers the SessionStore: intrusive LRU order,
+// pinned-entry skips, version stamps, and a concurrent
+// Acquire/Evict/version-shift hammer that the CI TSan job runs. The engine
+// half checks the end-to-end wiring: sharded config serves byte-identical
+// responses, fp32 and int8.
 
 #include <gtest/gtest.h>
 
@@ -224,38 +224,9 @@ std::shared_ptr<models::Gru4Rec> TinyGru() {
   return std::make_shared<models::Gru4Rec>(config);
 }
 
-TEST(ShardedSessionStoreTest, ShardCountClampsToCapacity) {
-  // A bounded store never hands a shard a zero (= unbounded) cap: the
-  // partition count clamps to max_sessions.
-  serve::SessionStore tight(2, 8);
-  EXPECT_EQ(tight.shards(), 2);
-  serve::SessionStore unbounded(0, 8);
-  EXPECT_EQ(unbounded.shards(), 8);
-  serve::SessionStore negative(5, -3);
-  EXPECT_EQ(negative.shards(), 1);
-  auto model = TinyGru();
-  for (int u = 0; u < 64; ++u) {
-    unbounded.Acquire(u, nullptr, model, 1);
-  }
-  EXPECT_EQ(unbounded.size(), 64);  // unbounded shards never evict
-}
-
-TEST(ShardedSessionStoreTest, GlobalCapHoldsAcrossShards) {
-  auto model = TinyGru();
-  serve::SessionStore store(8, 4);
-  ASSERT_EQ(store.shards(), 4);
-  for (int u = 0; u < 100; ++u) {
-    store.Acquire(u, nullptr, model, 1);
-    EXPECT_LE(store.size(), 8) << "after user " << u;
-  }
-  // 100 hashed users leave every 2-slot shard populated.
-  EXPECT_GT(store.size(), 0);
-}
-
 TEST(ShardedSessionStoreTest, IntrusiveLruEvictsOldestAndTouchRefreshes) {
   auto model = TinyGru();
-  // One shard isolates the recency list itself from hash placement.
-  serve::SessionStore store(3, 1);
+  serve::SessionStore store(3);
   auto s1 = store.Acquire(1, nullptr, model, 1);
   auto s2 = store.Acquire(2, nullptr, model, 1);
   auto s3 = store.Acquire(3, nullptr, model, 1);
@@ -275,24 +246,23 @@ TEST(ShardedSessionStoreTest, IntrusiveLruEvictsOldestAndTouchRefreshes) {
 
 TEST(ShardedSessionStoreTest, PinnedEntriesAreSkippedNotEvicted) {
   auto model = TinyGru();
-  serve::SessionStore store(1, 1);
+  serve::SessionStore store(1);
   auto pinned = store.Acquire(1, nullptr, model, 1);
   // Over-cap acquires while user 1 is pinned: the store overshoots rather
-  // than freeing a state someone still holds (PR 6's ASan regression,
-  // now per shard).
+  // than freeing a state someone still holds (an ASan regression).
   auto also_pinned = store.Acquire(2, nullptr, model, 1);
   EXPECT_EQ(store.size(), 2);
   EXPECT_EQ(store.Acquire(1, nullptr, model, 1).get(), pinned.get());
   pinned.reset();
   also_pinned.reset();
-  // With the pins gone the next miss sweeps the shard back under its cap.
+  // With the pins gone the next miss sweeps the store back under its cap.
   store.Acquire(3, nullptr, model, 1);
   EXPECT_EQ(store.size(), 1);
 }
 
 TEST(ShardedSessionStoreTest, VersionMismatchRebuildsInPlace) {
   auto model = TinyGru();
-  serve::SessionStore store(0, 4);
+  serve::SessionStore store(0);
   auto v1 = store.Acquire(7, nullptr, model, 1);
   EXPECT_EQ(store.Acquire(7, nullptr, model, 1).get(), v1.get());
   // A version bump (hot reload) must rebuild, never serve the stale state.
@@ -304,11 +274,11 @@ TEST(ShardedSessionStoreTest, VersionMismatchRebuildsInPlace) {
 
 // The CI TSan job's target: concurrent Acquire (hits, misses, evictions),
 // explicit Evicts, and version shifts (the reload path's store-visible
-// effect) against one sharded store. Correctness here is "no data race, no
-// lost size accounting", which TSan + the final invariants check.
+// effect) against one store. Correctness here is "no data race, no lost
+// size accounting", which TSan + the final invariants check.
 TEST(ShardedSessionStoreTest, ConcurrentAcquireEvictReloadIsRaceFree) {
   auto model = TinyGru();
-  serve::SessionStore store(32, 8);
+  serve::SessionStore store(32);
   std::atomic<uint64_t> version{1};
   constexpr int kThreads = 4;
   constexpr int kIters = 400;
@@ -328,12 +298,12 @@ TEST(ShardedSessionStoreTest, ConcurrentAcquireEvictReloadIsRaceFree) {
     });
   }
   for (auto& w : workers) w.join();
-  // All handles dropped: one sweep per shard restores the cap invariant.
+  // All handles dropped: the sweep's first miss restores the cap.
   for (int u = 0; u < 64; ++u) {
     store.Acquire(u, nullptr, model,
                   version.load(std::memory_order_relaxed));
   }
-  EXPECT_LE(store.size(), 32 + store.shards());
+  EXPECT_LE(store.size(), 32);
   EXPECT_GE(store.size(), 1);
 }
 
@@ -359,7 +329,6 @@ TEST(ShardedEngineTest, ResponsesBitIdenticalToUnsharded) {
       plain.quantize_int8 = int8;
       serve::ServingConfig sharded = plain;
       sharded.score_shards = 7;
-      sharded.session_shards = 4;
       sharded.max_sessions = 16;
       serve::ServingEngine plain_engine(*model, plain);
       serve::ServingEngine sharded_engine(*model, sharded);
@@ -386,15 +355,8 @@ TEST(ShardedEngineTest, ConfigClampsAndFlagsReachTheStore) {
   serve::ServingConfig sc;
   sc.top_k = 3;
   sc.score_shards = -4;
-  sc.session_shards = 0;
   serve::ServingEngine engine(*model, sc);
   EXPECT_EQ(engine.config().score_shards, 1);
-  EXPECT_EQ(engine.config().session_shards, 1);
-  serve::ServingConfig wide;
-  wide.top_k = 3;
-  wide.session_shards = 6;
-  serve::ServingEngine wide_engine(*model, wide);
-  EXPECT_EQ(wide_engine.store().shards(), 6);
 }
 
 }  // namespace

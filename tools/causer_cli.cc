@@ -18,15 +18,15 @@
 //     Prints the user's recommendation with per-step causal explanation.
 //
 //   serve     --data=<dir> --model=<file> [--serve-replay=N]
-//             [--batch-max=N] [--batch-wait-us=N] [--max-sessions=N]
+//             [--batch-max=N] [--max-sessions=N]
 //             [--serve-port=N] [--deadline-ms=N] [--queue-depth=N]
 //             [--quantize=MODE] [--rerank-k=N] [--reload-watch=DIR]
 //             [--reload-poll-ms=N] [--conn-idle-timeout-ms=N]
-//             [--score-shards=N] [--session-shards=N]
+//             [--score-shards=N]
 //     Without --serve-port: replays the test split's requests through the
-//     online serving engine (incremental session states + micro-batched
-//     GEMM scoring) from --threads concurrent clients and reports p50/p99
-//     latency and QPS. With --serve-port (0 = ephemeral): binds the TCP
+//     online serving engine (incremental session states + batched GEMM
+//     scoring) from --threads concurrent clients, one request per call,
+//     and reports p50/p99 latency and QPS. With --serve-port (0 = ephemeral): binds the TCP
 //     front-end (src/serve/server.h, wire format in src/serve/protocol.h)
 //     and serves until SIGINT/SIGTERM, then drains gracefully. SIGHUP (or
 //     a kReload control frame) hot-reloads the model with zero downtime —
@@ -137,10 +137,8 @@ int PrintHelp() {
       "serve flags (plus --data / --model / --top above):\n"
       "  --serve-replay=N     Replay passes over the test split's requests "
       "(default 1).\n"
-      "  --batch-max=N        Micro-batcher: most requests coalesced into "
-      "one scoring batch (default 32).\n"
-      "  --batch-wait-us=N    Micro-batcher: how long a batch waits to "
-      "fill after its first request, in microseconds (default 200).\n"
+      "  --batch-max=N        Most queued requests a server worker scores "
+      "as one batch (default 32).\n"
       "  --max-sessions=N     Session-store LRU capacity (default 0 = "
       "unbounded).\n"
       "  --serve-port=N       Bind the TCP front-end on this port instead "
@@ -172,9 +170,6 @@ int PrintHelp() {
       "in parallel on the thread pool and merged exactly — bit-identical "
       "responses, parallel even for a single-request batch (default 1 = "
       "unsharded).\n"
-      "  --session-shards=N   Hash-partition the session store into N "
-      "shards, each with its own lock, LRU list, and slice of "
-      "--max-sessions (default 1 = single shard).\n"
       "\n"
       "model architecture flags (train, evaluate, explain — must match "
       "between training and loading):\n"
@@ -471,7 +466,6 @@ int CmdServe(const Flags& flags) {
 
   serve::ServingConfig sc;
   sc.batch_max = flags.GetInt("batch-max", 32);
-  sc.batch_wait_us = flags.GetInt("batch-wait-us", 200);
   sc.top_k = flags.GetInt("top", 10);
   sc.max_sessions = flags.GetInt("max-sessions", 0);
   const std::string quantize = flags.GetString("quantize", "none");
@@ -484,7 +478,6 @@ int CmdServe(const Flags& flags) {
   }
   sc.rerank_k = flags.GetInt("rerank-k", 2048);
   sc.score_shards = flags.GetInt("score-shards", 1);
-  sc.session_shards = flags.GetInt("session-shards", 1);
   serve::ServingEngine engine(initial->model, sc);
 
   if (flags.Has("serve-port")) {
@@ -628,9 +621,8 @@ int CmdServe(const Flags& flags) {
   };
   std::printf(
       "served %ld requests (%d pass(es) x %zu instances, %d client "
-      "threads, batch-max %d, batch-wait %dus)\n",
-      total, passes, requests.size(), clients, sc.batch_max,
-      sc.batch_wait_us);
+      "threads)\n",
+      total, passes, requests.size(), clients);
   std::printf("p50 %.3f ms   p99 %.3f ms   %.0f req/s   %d sessions cached\n",
               percentile(0.50) * 1e3, percentile(0.99) * 1e3,
               wall_seconds > 0 ? total / wall_seconds : 0.0,
