@@ -117,26 +117,35 @@ bool StageParams(const std::string& blob,
   return in.AtEnd();
 }
 
+using Sections = std::vector<std::pair<uint32_t, std::string>>;
+
 /// Reads `path` and splits it into validated sections. Returns false on
-/// any framing or checksum mismatch.
-bool ReadSections(const std::string& path,
-                  std::vector<std::pair<uint32_t, std::string>>* sections) {
+/// any framing or checksum mismatch. The magic/version header is checked
+/// before the rest of the file is read, so a file of another format (a
+/// bare parameter dump) costs 12 bytes of I/O, not its whole size.
+bool ReadSections(const std::string& path, Sections* sections) {
   FilePtr f(std::fopen(path.c_str(), "rb"));
   if (!f) return false;
-  std::string bytes;
+  constexpr size_t kHeaderBytes = 3 * sizeof(uint32_t);
+  std::string bytes(kHeaderBytes, '\0');
+  if (std::fread(bytes.data(), 1, kHeaderBytes, f.get()) != kHeaderBytes) {
+    return false;
+  }
+  uint32_t magic = 0, version = 0, section_count = 0;
+  serial::Reader header(bytes);
+  header.ReadU32(&magic);
+  header.ReadU32(&version);
+  header.ReadU32(&section_count);
+  if (magic != kMagic || version != kVersion) return false;
+
   char buf[1 << 16];
   size_t n = 0;
   while ((n = std::fread(buf, 1, sizeof(buf), f.get())) > 0) {
     bytes.append(buf, n);
   }
   if (std::ferror(f.get()) != 0) return false;
-
   serial::Reader in(bytes);
-  uint32_t magic = 0, version = 0, section_count = 0;
-  in.ReadU32(&magic);
-  in.ReadU32(&version);
-  in.ReadU32(&section_count);
-  if (!in.ok() || magic != kMagic || version != kVersion) return false;
+  in.Skip(kHeaderBytes);
   sections->clear();
   for (uint32_t s = 0; s < section_count; ++s) {
     uint32_t tag = 0, crc = 0;
@@ -161,13 +170,44 @@ bool ReadSections(const std::string& path,
              file_crc;
 }
 
-const std::string* FindSection(
-    const std::vector<std::pair<uint32_t, std::string>>& sections,
-    uint32_t tag) {
+const std::string* FindSection(const Sections& sections, uint32_t tag) {
   for (const auto& [t, payload] : sections) {
     if (t == tag) return &payload;
   }
   return nullptr;
+}
+
+/// The validation both loaders share: reads `path`'s sections (every CRC
+/// checked), applies the architecture guard (the checkpoint's model name
+/// must be `model`'s — it covers backbone and ablation variant), and
+/// stages the params section against `model`'s live shapes into
+/// `*staged`. Nothing is mutated.
+bool ReadAndStage(const models::SequentialRecommender& model,
+                  const std::string& path, Sections* sections,
+                  std::vector<std::vector<float>>* staged) {
+  if (!ReadSections(path, sections)) return false;
+  const std::string* meta = FindSection(*sections, kSectionMeta);
+  const std::string* params_blob = FindSection(*sections, kSectionParams);
+  if (meta == nullptr || params_blob == nullptr) return false;
+  serial::Reader meta_in(*meta);
+  std::string saved_name;
+  if (!meta_in.ReadString(&saved_name) || !meta_in.AtEnd() ||
+      saved_name != model.name()) {
+    CAUSER_LOG(Error) << "checkpoint " << path
+                      << ": model mismatch (checkpoint '" << saved_name
+                      << "', model '" << model.name() << "')";
+    return false;
+  }
+  return StageParams(*params_blob, model.Parameters(), staged);
+}
+
+/// Commits rows staged by ReadAndStage.
+void CommitParams(models::SequentialRecommender& model,
+                  const std::vector<std::vector<float>>& staged) {
+  auto params = model.Parameters();
+  for (size_t i = 0; i < params.size(); ++i) {
+    params[i].data().assign(staged[i].begin(), staged[i].end());
+  }
 }
 
 /// Writes `bytes` to `path` atomically: tmp file, flush, fsync, rename,
@@ -279,42 +319,29 @@ bool SaveTrainingCheckpoint(const models::SequentialRecommender& model,
 bool LoadTrainingCheckpoint(models::SequentialRecommender& model,
                             models::FitResumeState* state,
                             const std::string& path) {
-  std::vector<std::pair<uint32_t, std::string>> sections;
-  if (!ReadSections(path, &sections)) return false;
-  const std::string* meta = FindSection(sections, kSectionMeta);
-  const std::string* params_blob = FindSection(sections, kSectionParams);
+  // Stage everything that can be staged before mutating the model.
+  Sections sections;
+  std::vector<std::vector<float>> staged;
+  if (!ReadAndStage(model, path, &sections, &staged)) return false;
   const std::string* model_state = FindSection(sections, kSectionModelState);
   const std::string* fit_state = FindSection(sections, kSectionFitState);
-  if (meta == nullptr || params_blob == nullptr || model_state == nullptr ||
-      fit_state == nullptr) {
-    return false;
-  }
-
-  // Architecture guard: the checkpoint must have been written by the same
-  // model kind (name covers backbone + ablation variant).
-  serial::Reader meta_in(*meta);
-  std::string saved_name;
-  if (!meta_in.ReadString(&saved_name) || !meta_in.AtEnd() ||
-      saved_name != model.name()) {
-    CAUSER_LOG(Error) << "LoadTrainingCheckpoint(" << path
-                      << "): model mismatch (checkpoint '" << saved_name
-                      << "', model '" << model.name() << "')";
-    return false;
-  }
-
-  // Stage everything that can be staged before mutating the model.
-  auto params = model.Parameters();
-  std::vector<std::vector<float>> staged;
-  if (!StageParams(*params_blob, params, &staged)) return false;
+  if (model_state == nullptr || fit_state == nullptr) return false;
   models::FitResumeState parsed_state;
   if (!ParseFitState(*fit_state, &parsed_state)) return false;
 
   serial::Reader state_in(*model_state);
   if (!model.LoadTrainingState(state_in) || !state_in.AtEnd()) return false;
-  for (size_t i = 0; i < params.size(); ++i) {
-    params[i].data().assign(staged[i].begin(), staged[i].end());
-  }
+  CommitParams(model, staged);
   *state = std::move(parsed_state);
+  return true;
+}
+
+bool LoadCheckpointParameters(models::SequentialRecommender& model,
+                              const std::string& path) {
+  Sections sections;
+  std::vector<std::vector<float>> staged;
+  if (!ReadAndStage(model, path, &sections, &staged)) return false;
+  CommitParams(model, staged);
   return true;
 }
 

@@ -71,6 +71,15 @@ bool LoadTrainingCheckpoint(models::SequentialRecommender& model,
                             models::FitResumeState* state,
                             const std::string& path);
 
+/// Loads only the parameters of a checkpoint written by
+/// SaveTrainingCheckpoint, for a model that serves rather than resumes
+/// training: the same CRC, framing, architecture and shape validation as
+/// LoadTrainingCheckpoint, but the optimizer moments and the fit state are
+/// neither parsed nor restored. On failure the model is unchanged and the
+/// function returns false. The caller runs OnParametersRestored().
+bool LoadCheckpointParameters(models::SequentialRecommender& model,
+                              const std::string& path);
+
 /// Deletes all but the newest `keep` checkpoints in `dir`.
 void PruneCheckpoints(const std::string& dir, int keep);
 

@@ -81,7 +81,10 @@ struct ModelConfig {
 /// docs/PERFORMANCE.md, "Online serving"). Created by NewSessionState,
 /// advanced one interaction at a time by AdvanceState, scored against the
 /// full catalog by ScoreFromState; serve::SessionStore keeps one per active
-/// user. A state is only valid with the model that created it.
+/// user. A state is only valid with the model that created it, but it must
+/// stay destructible after that model is gone: it holds plain data only
+/// (no pointer or reference into the model), because the session store
+/// keeps a stale state cached after a hot reload has freed its model.
 class SessionState {
  public:
   virtual ~SessionState() = default;

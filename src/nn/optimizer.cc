@@ -102,14 +102,9 @@ Adam::Adam(std::vector<Tensor> params, float lr, float beta1, float beta2,
       lr_(lr),
       beta1_(beta1),
       beta2_(beta2),
-      eps_(eps) {
-  m_.resize(params_.size());
-  v_.resize(params_.size());
-  for (size_t i = 0; i < params_.size(); ++i) {
-    m_[i].assign(params_[i].size(), 0.0f);
-    v_[i].assign(params_[i].size(), 0.0f);
-  }
-}
+      eps_(eps),
+      m_(params_.size()),
+      v_(params_.size()) {}
 
 void Adam::Step() {
   ++step_count_;
@@ -135,6 +130,10 @@ void Adam::Step() {
   for (size_t i = 0; i < params_.size(); ++i) {
     auto& node = *params_[i].node();
     if (node.grad.empty()) continue;
+    if (m_[i].empty()) {  // first update: allocate the zero moments
+      m_[i].assign(node.value.size(), 0.0f);
+      v_[i].assign(node.value.size(), 0.0f);
+    }
     ops.adam_step(node.value.size(), lr_, beta1_, beta2_, one_minus_b1,
                   one_minus_b2, bc1, bc2, eps_, node.value.data(),
                   node.grad.data(), m_[i].data(), v_[i].data());
@@ -148,9 +147,18 @@ void Adam::SaveState(std::string* out) const {
   serial::AppendF32(out, eps_);
   serial::AppendI32(out, step_count_);
   serial::AppendU64(out, m_.size());
+  // A moment never allocated is all zeros; write it as such, so the bytes
+  // match an eagerly zeroed optimizer.
+  std::vector<float> zeros;
   for (size_t i = 0; i < m_.size(); ++i) {
-    serial::AppendFloats(out, m_[i]);
-    serial::AppendFloats(out, v_[i]);
+    if (m_[i].empty()) {
+      zeros.assign(params_[i].size(), 0.0f);
+      serial::AppendFloats(out, zeros);
+      serial::AppendFloats(out, zeros);
+    } else {
+      serial::AppendFloats(out, m_[i]);
+      serial::AppendFloats(out, v_[i]);
+    }
   }
 }
 
@@ -167,8 +175,9 @@ bool Adam::LoadState(serial::Reader& in) {
   if (!in.ok() || count != m_.size() || step_count < 0) return false;
   std::vector<std::vector<float>> m(m_.size()), v(v_.size());
   for (size_t i = 0; i < m_.size(); ++i) {
-    if (!in.ReadFloats(&m[i]) || m[i].size() != m_[i].size() ||
-        !in.ReadFloats(&v[i]) || v[i].size() != v_[i].size()) {
+    const size_t size = static_cast<size_t>(params_[i].size());
+    if (!in.ReadFloats(&m[i]) || m[i].size() != size ||
+        !in.ReadFloats(&v[i]) || v[i].size() != size) {
       return false;
     }
   }

@@ -65,6 +65,12 @@ class Sgd : public Optimizer {
 };
 
 /// Adam (Kingma & Ba, 2015) with bias correction.
+///
+/// The moment buffers are allocated lazily: parameter i's m/v are zero-
+/// filled the first time Step updates it (or LoadState restores them), so
+/// a model built only to serve never pays for them. SaveState writes a
+/// never-allocated moment as zeros of the parameter's size, so checkpoint
+/// bytes and training trajectories match eager zero-initialization.
 class Adam : public Optimizer {
  public:
   Adam(std::vector<Tensor> params, float lr, float beta1 = 0.9f,
@@ -80,6 +86,7 @@ class Adam : public Optimizer {
  private:
   float lr_, beta1_, beta2_, eps_;
   int step_count_ = 0;
+  /// Per-parameter moments; empty until the parameter's first update.
   std::vector<std::vector<float>> m_;
   std::vector<std::vector<float>> v_;
 };

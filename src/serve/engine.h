@@ -130,7 +130,10 @@ class ServingEngine {
   /// old version meanwhile), then publishes the new version with one
   /// atomic store. Batches in flight finish on the version they pinned;
   /// later batches pick up the new one, and their stale session states
-  /// are rebuilt from bootstrap on touch. Returns the new active version,
+  /// are rebuilt from bootstrap on touch. The engine drops its reference
+  /// to the retired version here; the version is freed when the last batch
+  /// that pinned it ends, whatever stale sessions it leaves cached (they
+  /// keep only its version stamp). Returns the new active version,
   /// or 0 — previous version keeps serving — when `model` is null or its
   /// catalog size differs from the current one (the server's request
   /// validation and every cached expectation key on it). Thread-safe;

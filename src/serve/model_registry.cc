@@ -33,9 +33,9 @@ std::shared_ptr<const ModelVersion> ModelRegistry::LoadAndPublish(
   if (model == nullptr) return nullptr;
   // A training checkpoint validates magic, CRCs and the architecture guard
   // before mutating the model, so trying it first is safe on any file; a
-  // bare parameter dump is the fallback.
-  models::FitResumeState resume;  // discarded — serving needs weights only
-  if (!core::LoadTrainingCheckpoint(*model, &resume, path) &&
+  // bare parameter dump is the fallback. Serving needs the weights only:
+  // the optimizer moments and fit state stay on disk.
+  if (!core::LoadCheckpointParameters(*model, path) &&
       !nn::LoadParameters(*model, path)) {
     return nullptr;
   }

@@ -48,11 +48,11 @@ class ModelRegistry {
       std::shared_ptr<models::SequentialRecommender> model,
       std::string source);
 
-  /// Builds a fresh factory model, restores it from `path` (training
-  /// checkpoint tried first — it validates every CRC before mutating —
-  /// then a bare parameter dump), runs OnParametersRestored(), and
-  /// publishes. Null on failure, in which case Current() is untouched.
-  /// Requires a factory.
+  /// Builds a fresh factory model, restores its weights from `path`
+  /// (training checkpoint tried first — it validates every CRC before
+  /// mutating, and only its parameters are loaded — then a bare parameter
+  /// dump), runs OnParametersRestored(), and publishes. Null on failure,
+  /// in which case Current() is untouched. Requires a factory.
   std::shared_ptr<const ModelVersion> LoadAndPublish(const std::string& path);
 
  private:

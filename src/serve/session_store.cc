@@ -144,8 +144,8 @@ SessionStore::Handle SessionStore::Acquire(
     // — drop the entry and fall through to the miss path, which rebuilds
     // from the bootstrap replay under the current model. Any handle still
     // pinning the old state keeps it alive, and that handle's batch pins
-    // the ServedModel it started on, so the state cannot outlive its
-    // weights.
+    // the ServedModel it started on, so the state is never used without
+    // its weights.
     Unlink(&it->second);
     sessions_.erase(it);
     if (measure) ServeMetrics().stale_rebuilds.Add();
@@ -153,7 +153,6 @@ SessionStore::Handle SessionStore::Acquire(
   EvictUnderCap(measure);
   Entry entry;
   entry.state = model->NewSessionState(user);
-  entry.model = model;
   entry.version = version;
   entry.user = user;
   if (bootstrap != nullptr) {

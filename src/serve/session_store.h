@@ -50,6 +50,10 @@ ServeMetricsT& ServeMetrics();
 /// built them: a hot reload bumps the engine's version, and a stale entry
 /// is lazily rebuilt by bootstrap replay on its next touch — a state is
 /// never advanced or scored by a model other than the one that created it.
+/// An entry keeps only that stamp, never the model: a stale entry that is
+/// not touched again does not pin its retired version, which is freed when
+/// the last batch that pinned it ends. Dropping the stale state later is
+/// safe because a SessionState holds plain data only (models/recommender.h).
 ///
 /// One mutex guards one map and one recency list. Eviction is O(1) per
 /// victim: recency is a doubly-linked list threaded through the entries,
@@ -72,11 +76,12 @@ class SessionStore {
   /// on miss — replaying `bootstrap` (may be null = start empty) into the
   /// fresh state. A cached entry stamped with a different version is
   /// treated as a miss and rebuilt from `bootstrap` with the given model
-  /// (SessionStates are only valid with the model that created them). The
-  /// entry co-owns `model`, so a pinned pre-reload state can never outlive
-  /// its weights. The handle keeps the state alive across evictions; drop
-  /// it when the request's batch completes so the LRU cap can reclaim the
-  /// entry.
+  /// (SessionStates are only valid with the model that created them).
+  /// `model` only creates and replays the state; the store keeps no
+  /// reference to it, so the caller keeps `model` alive while it uses the
+  /// handle (an engine batch pins its ServedModel for exactly that). The
+  /// handle keeps the state alive across evictions; drop it when the
+  /// request's batch completes so the LRU cap can reclaim the entry.
   Handle Acquire(int user, const std::vector<data::Step>* bootstrap,
                  const std::shared_ptr<models::SequentialRecommender>& model,
                  uint64_t version);
@@ -90,10 +95,10 @@ class SessionStore {
  private:
   struct Entry {
     std::shared_ptr<models::SessionState> state;
-    /// The model that created `state` — kept alive for as long as the
-    /// entry (or a pinned Handle) might still reference the state.
-    std::shared_ptr<models::SequentialRecommender> model;
-    uint64_t version = 0;  // engine model version that built the state
+    /// Engine model version that built `state`. The stamp alone marks a
+    /// stale entry: the entry does not own the model, so a retired
+    /// version's weights are freed while its stale states stay cached.
+    uint64_t version = 0;
     int user = 0;          // map key, for list-driven erasure
     /// Intrusive recency list: `newer` points toward the MRU end, `older`
     /// toward the LRU end. unordered_map nodes are address-stable, so the

@@ -111,6 +111,10 @@ class ArenaScope {
 /// Capturing at construction (not at allocate()) is what pins a container
 /// to its origin: a parameter's grad vector constructed outside any scope
 /// keeps heap-allocating even when EnsureGrad() later runs inside one.
+/// Heap buffers are Arena::kAlignment-aligned like arena ones: malloc only
+/// guarantees 16 bytes, and a served item table whose rows start 16 bytes
+/// past a cache line scores ~5% slower, so a table's speed would otherwise
+/// depend on the allocator's history.
 template <typename T>
 class ArenaAllocator {
  public:
@@ -131,10 +135,13 @@ class ArenaAllocator {
     if (arena_ != nullptr) {
       return static_cast<T*>(arena_->Allocate(n * sizeof(T)));
     }
-    return static_cast<T*>(::operator new(n * sizeof(T)));
+    return static_cast<T*>(
+        ::operator new(n * sizeof(T), std::align_val_t{Arena::kAlignment}));
   }
   void deallocate(T* p, size_t) noexcept {
-    if (arena_ == nullptr) ::operator delete(p);
+    if (arena_ == nullptr) {
+      ::operator delete(p, std::align_val_t{Arena::kAlignment});
+    }
     // Arena memory is reclaimed wholesale by Arena::Reset().
   }
 

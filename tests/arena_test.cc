@@ -41,6 +41,20 @@ TEST(ArenaTest, AllocationsAreAligned) {
   }
 }
 
+TEST(ArenaTest, HeapBuffersAreAlignedLikeArenaOnes) {
+  // Outside any scope FloatBuffer falls back to the heap, whose malloc
+  // alignment (16) would leave a table's placement to allocator history.
+  std::vector<FloatBuffer> buffers;
+  for (size_t floats : {1u, 3u, 17u, 64u, 1000u, 1280000u}) {
+    buffers.emplace_back(floats, 1.0f);
+    ASSERT_EQ(buffers.back().get_allocator().arena(), nullptr);
+    EXPECT_EQ(
+        reinterpret_cast<uintptr_t>(buffers.back().data()) % Arena::kAlignment,
+        0u)
+        << "unaligned heap buffer of " << floats << " floats";
+  }
+}
+
 TEST(ArenaTest, ResetRewindsAndReusesStorage) {
   Arena arena(1024);
   void* first = arena.Allocate(100);

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
+#include "common/serial.h"
 #include "nn/attention.h"
 #include "nn/embedding.h"
 #include "nn/init.h"
@@ -368,6 +371,74 @@ TEST(AdamTest, SkipsParamsWithoutGrad) {
   Adam opt({x}, 0.1f);
   opt.Step();  // no Backward happened; must not crash or move x
   EXPECT_EQ(x.Item(), 1.0f);
+}
+
+TEST(AdamTest, UnsteppedStateSavesAsZeros) {
+  // Moments are allocated on a parameter's first update. An optimizer that
+  // never stepped must still save a zero vector of each parameter's size,
+  // and restoring that state must not change the trajectory by a bit.
+  const std::vector<float> init_x = {0.5f, -1.25f, 2.0f};
+  const std::vector<float> init_y = {1.0f, -0.5f, 0.25f, 3.0f};
+  auto make_params = [&] {
+    return std::vector<Tensor>{
+        Tensor::FromData(1, 3, init_x, /*requires_grad=*/true),
+        Tensor::FromData(2, 2, init_y, /*requires_grad=*/true)};
+  };
+
+  std::vector<Tensor> fresh_params = make_params();
+  Adam fresh(fresh_params, 0.01f);
+  std::string blob;
+  fresh.SaveState(&blob);
+  serial::Reader in(blob);
+  float lr = 0.0f, beta1 = 0.0f, beta2 = 0.0f, eps = 0.0f;
+  int32_t step_count = -1;
+  uint64_t count = 0;
+  in.ReadF32(&lr);
+  in.ReadF32(&beta1);
+  in.ReadF32(&beta2);
+  in.ReadF32(&eps);
+  in.ReadI32(&step_count);
+  in.ReadU64(&count);
+  ASSERT_TRUE(in.ok());
+  EXPECT_EQ(step_count, 0);
+  ASSERT_EQ(count, fresh_params.size());
+  for (const Tensor& p : fresh_params) {
+    for (const char* moment : {"m", "v"}) {
+      std::vector<float> values;
+      ASSERT_TRUE(in.ReadFloats(&values));
+      EXPECT_EQ(values, std::vector<float>(p.size(), 0.0f)) << moment;
+    }
+  }
+  EXPECT_TRUE(in.AtEnd());
+
+  // Save -> Load -> Step against Step from fresh, on one gradient stream.
+  std::vector<Tensor> restored_params = make_params();
+  Adam restored(restored_params, 0.5f);  // LoadState restores lr too
+  serial::Reader state(blob);
+  ASSERT_TRUE(restored.LoadState(state));
+  ASSERT_TRUE(state.AtEnd());
+  for (int step = 1; step <= 5; ++step) {
+    for (auto* params : {&fresh_params, &restored_params}) {
+      for (size_t i = 0; i < params->size(); ++i) {
+        auto& node = *(*params)[i].node();
+        node.EnsureGrad();
+        for (size_t j = 0; j < node.grad.size(); ++j) {
+          node.grad[j] = std::sin(0.9f * static_cast<float>(step) +
+                                  0.4f * static_cast<float>(i + 3 * j));
+        }
+      }
+    }
+    fresh.Step();
+    restored.Step();
+    for (size_t i = 0; i < fresh_params.size(); ++i) {
+      ASSERT_EQ(fresh_params[i].data(), restored_params[i].data())
+          << "step " << step << ", param " << i;
+    }
+  }
+  std::string fresh_after, restored_after;
+  fresh.SaveState(&fresh_after);
+  restored.SaveState(&restored_after);
+  EXPECT_EQ(fresh_after, restored_after);
 }
 
 TEST(OptimizerTest, ClipGradNormScales) {

@@ -160,6 +160,26 @@ TEST(ModelRegistryTest, LoadAndPublishReadsParameterDumpsAndCheckpoints) {
   auto ckpt_expected = ckpt_source->ScoreAll(inst.user, inst.history);
   ASSERT_EQ(ckpt_scores, ckpt_expected);
   ASSERT_NE(dump_scores, ckpt_scores);  // the seeds really differ
+
+  // The same trained weights through both formats. The checkpoint also
+  // carries non-zero optimizer moments and a fit state; the registry loads
+  // only its parameters, which must score exactly like the dump's.
+  auto trained = GruModel(33);
+  trained->TrainEpoch(TinySplit().train);
+  const std::string trained_dump = TempPath("reload_trained.model");
+  const std::string trained_ckpt = TempPath("ckpt-000004.causer");
+  ASSERT_TRUE(nn::SaveParameters(*trained, trained_dump));
+  ASSERT_TRUE(core::SaveTrainingCheckpoint(*trained, resume, trained_ckpt));
+  auto trained_from_dump = registry.LoadAndPublish(trained_dump);
+  auto trained_from_ckpt = registry.LoadAndPublish(trained_ckpt);
+  ASSERT_NE(trained_from_dump, nullptr);
+  ASSERT_NE(trained_from_ckpt, nullptr);
+  EXPECT_EQ(trained_from_ckpt->version, 4u);
+  auto trained_scores = trained->ScoreAll(inst.user, inst.history);
+  ASSERT_EQ(trained_from_dump->model->ScoreAll(inst.user, inst.history),
+            trained_scores);
+  ASSERT_EQ(trained_from_ckpt->model->ScoreAll(inst.user, inst.history),
+            trained_scores);
 }
 
 TEST(ModelRegistryTest, CorruptFileRejectedWithoutTouchingCurrent) {
@@ -348,6 +368,47 @@ TEST(SessionStoreReloadTest, LruEvictionAndPinningAcrossVersions) {
   ASSERT_NE(rebuilt.get(), pinned.get());
   ASSERT_EQ(m2->ScoreFromState(*rebuilt), m2->ScoreAll(100, bootstrap));
   ASSERT_EQ(m1->ScoreFromState(*pinned), expected_pinned);
+}
+
+TEST(SessionStoreReloadTest,
+     RetiredVersionsFreedWhileStaleSessionsStayCached) {
+  // The engine is the only owner of each version (the test keeps weak
+  // pointers), so a retired version stays alive only if the serving stack
+  // still pins it. User A is cached at v1 and then left alone across two
+  // reloads; its stale entry must not keep v1's weights alive.
+  ServingConfig sc;
+  sc.top_k = 5;
+  Request a, b;
+  a.user = TinySplit().test[0].user;
+  a.bootstrap = &History(0);
+  b.user = TinySplit().test[1].user;
+  b.bootstrap = &History(1);
+  ASSERT_NE(a.user, b.user);
+
+  std::shared_ptr<models::SequentialRecommender> m1 = GruModel(1);
+  std::weak_ptr<models::SequentialRecommender> v1 = m1;
+  ServingEngine engine(std::move(m1), sc);
+  for (const Response& r : engine.ScoreBatch({a, b})) {
+    ASSERT_EQ(r.model_version, 1u);
+  }
+  ASSERT_EQ(engine.store().size(), 2);
+
+  std::shared_ptr<models::SequentialRecommender> m2 = GruModel(2);
+  std::weak_ptr<models::SequentialRecommender> v2 = m2;
+  ASSERT_EQ(engine.Reload(std::move(m2)), 2u);
+  ASSERT_EQ(engine.Handle(b).model_version, 2u);
+  auto m3 = GruModel(3);
+  ASSERT_EQ(engine.Reload(m3), 3u);
+  ASSERT_EQ(engine.Handle(b).model_version, 3u);
+
+  EXPECT_TRUE(v1.expired());
+  EXPECT_TRUE(v2.expired());
+  EXPECT_EQ(engine.store().size(), 2);  // A's stale v1 entry is still cached
+
+  // A's next request rebuilds its stale entry under v3, exactly.
+  Response response = engine.Handle(a);
+  EXPECT_EQ(response.model_version, 3u);
+  ExpectTopKOfModel(response, *m3, a.user, History(0), "A after reloads");
 }
 
 void ExpectReloadConsistencyAtThreadCount(int num_threads) {

@@ -479,6 +479,7 @@ int CmdServe(const Flags& flags) {
   sc.rerank_k = flags.GetInt("rerank-k", 2048);
   sc.score_shards = flags.GetInt("score-shards", 1);
   serve::ServingEngine engine(initial->model, sc);
+  initial.reset();  // the engine owns version 1 now; a reload can free it
 
   if (flags.Has("serve-port")) {
     const std::string watch_dir = flags.GetString("reload-watch");
