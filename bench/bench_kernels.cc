@@ -13,7 +13,12 @@
 //       materialize-then-TopK path (smoke gate: fused must not regress
 //       below unfused), and the int8 MatMulTopKQ per ISA tier with a
 //       cross-tier determinism check;
-//   (4) end-to-end: GRU4Rec TrainEpoch steps/sec with the arena enabled vs.
+//   (4) int8 serving stages at the serving int8 shape (n=1 against a
+//       20000x64 table, rerank_k 2048, k=10, S in {1, 2}): per-call
+//       p10/median/p90 of the candidate pass, the shard merge and the
+//       fp32 re-rank, each checked bit for bit against a sorted full-score
+//       reference (only the check gates the smoke run);
+//   (5) end-to-end: GRU4Rec TrainEpoch steps/sec with the arena enabled vs.
 //       disabled, asserting bit-identical epoch losses either way.
 //
 // Writes a BENCH_kernels.json report (path = argv[last], default
@@ -42,6 +47,7 @@
 #include "eval/metrics.h"
 #include "tensor/arena.h"
 #include "tensor/kernels.h"
+#include "tensor/primitives/primitives.h"
 #include "tensor/quant.h"
 
 namespace {
@@ -237,6 +243,141 @@ TopKResult RunTopK(int catalog, int k, bool smoke) {
   result.sort_us = best_sort / iters * 1e6;
   result.speedup = result.sort_us / result.heap_us;
   return result;
+}
+
+// ---------------------------------------------------------------------------
+// Int8 serving stages: the candidate pass, the shard merge and the fp32
+// re-rank of one request at the serving int8 shape.
+
+constexpr int kStageN = 1, kStageM = 64, kStageP = 20000, kStageKq = 2048,
+              kStageK = 10;
+
+/// Median and p10/p90 of per-call wall times, in microseconds.
+struct StageTiming {
+  double p10 = 0.0, median = 0.0, p90 = 0.0;
+};
+
+template <typename Fn>
+StageTiming TimeStage(Fn&& fn, int samples) {
+  fn();  // warm-up: scratch allocations, caches
+  std::vector<double> us(samples);
+  for (double& t : us) {
+    Stopwatch sw;
+    fn();
+    t = sw.ElapsedSeconds() * 1e6;
+  }
+  std::sort(us.begin(), us.end());
+  auto at = [&](double q) {
+    return us[static_cast<size_t>(q * (samples - 1) + 0.5)];
+  };
+  return {at(0.1), at(0.5), at(0.9)};
+}
+
+bool SameEntries(const std::vector<tensor::kernels::TopKEntry>& x,
+                 const std::vector<tensor::kernels::TopKEntry>& y) {
+  if (x.size() != y.size()) return false;
+  for (size_t e = 0; e < x.size(); ++e) {
+    if (x[e].index != y[e].index ||
+        std::memcmp(&x[e].score, &y[e].score, sizeof(float)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+struct StageResult {
+  int shards = 0;
+  StageTiming candidates, merge, rerank;
+  bool exact = true;
+};
+
+/// Times the three stages at S = 1 and 2 shards on one thread. The merge
+/// row times MergeTopK alone over per-shard selections taken beforehand
+/// (S = 1 has nothing to merge). Every stage's output is checked against
+/// references built from the materialized scores: the candidates and the
+/// merge against the first kq of a full sort of the int8 scores, and the
+/// re-rank against one ops.dot per candidate followed by a full sort.
+std::vector<StageResult> RunInt8Stages(bool smoke) {
+  using tensor::kernels::BetterEntry;
+  using tensor::kernels::TopKEntry;
+  Rng rng(17);
+  const auto a = RandomBuffer(static_cast<size_t>(kStageN) * kStageM, rng);
+  const auto b = RandomBuffer(static_cast<size_t>(kStageP) * kStageM, rng);
+  tensor::QuantizedMatrix qa, qb;
+  if (!tensor::QuantizeRows(a.data(), kStageN, kStageM, &qa) ||
+      !tensor::QuantizeRows(b.data(), kStageP, kStageM, &qb)) {
+    return {StageResult{0, {}, {}, {}, false}};
+  }
+  std::vector<TopKEntry> all(kStageP);
+  for (int j = 0; j < kStageP; ++j) {
+    std::int32_t acc = 0;
+    for (int t = 0; t < kStageM; ++t) {
+      acc += static_cast<std::int32_t>(qa.data[t]) *
+             qb.data[static_cast<size_t>(j) * kStageM + t];
+    }
+    all[j] = {j, static_cast<float>(acc) * (qa.scales[0] * qb.scales[j])};
+  }
+  std::sort(all.begin(), all.end(), BetterEntry);
+  const std::vector<TopKEntry> ref_cands(all.begin(), all.begin() + kStageKq);
+  const tensor::primitives::Ops& ops = tensor::primitives::Active();
+  std::vector<TopKEntry> rescored;
+  for (const TopKEntry& c : ref_cands) {
+    rescored.push_back(
+        {c.index, ops.dot(kStageM, a.data(),
+                          b.data() + static_cast<size_t>(c.index) * kStageM)});
+  }
+  std::sort(rescored.begin(), rescored.end(), BetterEntry);
+  const std::vector<TopKEntry> ref_best(rescored.begin(),
+                                        rescored.begin() + kStageK);
+
+  const int samples = smoke ? 30 : 300;
+  std::vector<StageResult> results;
+  for (int S : {1, 2}) {
+    StageResult r;
+    r.shards = S;
+    std::vector<TopKEntry> cands(kStageKq);
+    auto candidate_pass = [&] {
+      tensor::kernels::MatMulTopKQSharded(
+          qa.data.data(), qa.scales.data(), qb.data.data(), qb.scales.data(),
+          kStageN, kStageM, kStageP, kStageKq, S, cands.data());
+    };
+    r.candidates = TimeStage(candidate_pass, samples);
+    r.exact = r.exact && SameEntries(cands, ref_cands);
+    if (S > 1) {
+      // Per-shard selections in the [S, n, k] layout, indices global.
+      std::vector<TopKEntry> runs(static_cast<size_t>(S) * kStageKq);
+      for (int s = 0; s < S; ++s) {
+        const int jb = kStageP * s / S, je = kStageP * (s + 1) / S;
+        TopKEntry* run = runs.data() + static_cast<size_t>(s) * kStageKq;
+        tensor::kernels::MatMulTopKQ(
+            qa.data.data(), qa.scales.data(),
+            qb.data.data() + static_cast<size_t>(jb) * kStageM,
+            qb.scales.data() + jb, kStageN, kStageM, je - jb, kStageKq, run);
+        for (int t = 0; t < kStageKq; ++t) {
+          if (run[t].index >= 0) run[t].index += jb;
+        }
+      }
+      std::vector<TopKEntry> merged(kStageKq);
+      r.merge = TimeStage(
+          [&] {
+            tensor::kernels::MergeTopK(runs.data(), S, kStageN, kStageKq,
+                                       merged.data());
+          },
+          samples);
+      r.exact = r.exact && SameEntries(merged, ref_cands);
+    }
+    std::vector<TopKEntry> best(kStageK);
+    r.rerank = TimeStage(
+        [&] {
+          tensor::kernels::RerankTopK(a.data(), b.data(), kStageM,
+                                      cands.data(), kStageKq, kStageK,
+                                      best.data());
+        },
+        samples);
+    r.exact = r.exact && SameEntries(best, ref_best);
+    results.push_back(r);
+  }
+  return results;
 }
 
 // ---------------------------------------------------------------------------
@@ -505,6 +646,38 @@ int main(int argc, char** argv) {
                 fused_vs_unfused);
   }
 
+  std::printf(
+      "\nInt8 serving stages (n=%d, %dx%d, kq=%d, k=%d, single thread, "
+      "us per call p10/median/p90):\n",
+      kStageN, kStageP, kStageM, kStageKq, kStageK);
+  std::printf("%6s %26s %26s %26s %6s\n", "shards", "candidate pass",
+              "merge", "re-rank", "exact");
+  std::vector<std::string> stage_rows;
+  for (const StageResult& r : RunInt8Stages(smoke)) {
+    ok = ok && r.exact;
+    auto cell = [](const StageTiming& t) {
+      char buf[64];
+      std::snprintf(buf, sizeof(buf), "%7.1f/%7.1f/%7.1f", t.p10, t.median,
+                    t.p90);
+      return std::string(buf);
+    };
+    std::printf("%6d %26s %26s %26s %6s\n", r.shards,
+                cell(r.candidates).c_str(),
+                r.shards > 1 ? cell(r.merge).c_str() : "-",
+                cell(r.rerank).c_str(), r.exact ? "yes" : "NO");
+    auto timing = [](const StageTiming& t) {
+      bench::JsonObject o;
+      o.Set("p10_us", t.p10).Set("median_us", t.median).Set("p90_us", t.p90);
+      return o.Str();
+    };
+    bench::JsonObject row;
+    row.Set("shards", r.shards).SetRaw("candidate_pass", timing(r.candidates));
+    if (r.shards > 1) row.SetRaw("merge", timing(r.merge));
+    row.SetRaw("rerank", timing(r.rerank))
+        .Set("matches_sorted_full_scores", r.exact);
+    stage_rows.push_back(row.Str());
+  }
+
   std::printf("\nTrainEpoch (GRU4Rec, batch_size 1, single thread):\n");
   TrainResult train = RunTraining(smoke);
   ok = ok && train.losses_bit_identical;
@@ -546,6 +719,14 @@ int main(int argc, char** argv) {
       .Set("fp32_fused_vs_unfused_speedup", fused_vs_unfused)
       .SetRaw("quant_variants", bench::JsonArray(quant_rows));
   report.SetRaw("topk_fused", topk_fused_row.Str());
+  bench::JsonObject stages;
+  stages.Set("n", kStageN)
+      .Set("m", kStageM)
+      .Set("catalog", kStageP)
+      .Set("rerank_k", kStageKq)
+      .Set("k", kStageK)
+      .SetRaw("rows", bench::JsonArray(stage_rows));
+  report.SetRaw("int8_serving_stages", stages.Str());
   bench::JsonObject train_row;
   train_row.Set("workload",
                 std::string("TinySpec scaled to 200 users / 120 items, "

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <string_view>
 #include <utility>
 
 #include "common/fault.h"
@@ -60,8 +61,8 @@ std::string SerializeFitState(const models::FitResumeState& st) {
   return out;
 }
 
-bool ParseFitState(const std::string& blob, models::FitResumeState* st) {
-  serial::Reader in(blob);
+bool ParseFitState(std::string_view blob, models::FitResumeState* st) {
+  serial::Reader in(blob.data(), blob.size());
   models::FitResumeState parsed;
   uint32_t snapshot_count = 0;
   in.ReadI32(&parsed.next_epoch);
@@ -94,10 +95,10 @@ std::string SerializeParams(const models::SequentialRecommender& model) {
 /// Parses the params section against the model's live shapes without
 /// touching them; the staged rows are committed by the caller only after
 /// every other section validated.
-bool StageParams(const std::string& blob,
+bool StageParams(std::string_view blob,
                  const std::vector<nn::Tensor>& params,
                  std::vector<std::vector<float>>* staged) {
-  serial::Reader in(blob);
+  serial::Reader in(blob.data(), blob.size());
   uint32_t count = 0;
   if (!in.ReadU32(&count) || count != params.size()) return false;
   staged->resize(params.size());
@@ -117,17 +118,30 @@ bool StageParams(const std::string& blob,
   return in.AtEnd();
 }
 
-using Sections = std::vector<std::pair<uint32_t, std::string>>;
+/// A checkpoint file read whole: its bytes, and its validated sections as
+/// views into them, so each payload is held once however many sections a
+/// loader ends up ignoring. Not copyable or movable: a copy's views would
+/// still point into the original's bytes.
+struct CheckpointFile {
+  CheckpointFile() = default;
+  CheckpointFile(const CheckpointFile&) = delete;
+  CheckpointFile& operator=(const CheckpointFile&) = delete;
 
-/// Reads `path` and splits it into validated sections. Returns false on
-/// any framing or checksum mismatch. The magic/version header is checked
-/// before the rest of the file is read, so a file of another format (a
-/// bare parameter dump) costs 12 bytes of I/O, not its whole size.
-bool ReadSections(const std::string& path, Sections* sections) {
+  std::string bytes;
+  std::vector<std::pair<uint32_t, std::string_view>> sections;
+};
+
+/// Reads `path` into `file` and splits it into validated sections.
+/// Returns false on any framing or checksum mismatch. The magic/version
+/// header is checked before the rest of the file is read, so a file of
+/// another format (a bare parameter dump) costs 12 bytes of I/O, not its
+/// whole size.
+bool ReadSections(const std::string& path, CheckpointFile* file) {
   FilePtr f(std::fopen(path.c_str(), "rb"));
   if (!f) return false;
   constexpr size_t kHeaderBytes = 3 * sizeof(uint32_t);
-  std::string bytes(kHeaderBytes, '\0');
+  std::string& bytes = file->bytes;
+  bytes.assign(kHeaderBytes, '\0');
   if (std::fread(bytes.data(), 1, kHeaderBytes, f.get()) != kHeaderBytes) {
     return false;
   }
@@ -146,7 +160,7 @@ bool ReadSections(const std::string& path, Sections* sections) {
   if (std::ferror(f.get()) != 0) return false;
   serial::Reader in(bytes);
   in.Skip(kHeaderBytes);
-  sections->clear();
+  file->sections.clear();
   for (uint32_t s = 0; s < section_count; ++s) {
     uint32_t tag = 0, crc = 0;
     uint64_t size = 0;
@@ -154,11 +168,12 @@ bool ReadSections(const std::string& path, Sections* sections) {
     in.ReadU64(&size);
     in.ReadU32(&crc);
     if (!in.ok() || size > in.remaining()) return false;
-    std::string payload(bytes.data() + (bytes.size() - in.remaining()),
-                        static_cast<size_t>(size));
+    const std::string_view payload(
+        bytes.data() + (bytes.size() - in.remaining()),
+        static_cast<size_t>(size));
     if (serial::Crc32(payload.data(), payload.size()) != crc) return false;
     if (!in.Skip(static_cast<size_t>(size))) return false;
-    sections->emplace_back(tag, std::move(payload));
+    file->sections.emplace_back(tag, payload);
   }
   // Whole-file checksum over everything before it; catches truncation at
   // a section boundary (where per-section CRCs all still pass).
@@ -170,8 +185,9 @@ bool ReadSections(const std::string& path, Sections* sections) {
              file_crc;
 }
 
-const std::string* FindSection(const Sections& sections, uint32_t tag) {
-  for (const auto& [t, payload] : sections) {
+const std::string_view* FindSection(const CheckpointFile& file,
+                                    uint32_t tag) {
+  for (const auto& [t, payload] : file.sections) {
     if (t == tag) return &payload;
   }
   return nullptr;
@@ -183,13 +199,13 @@ const std::string* FindSection(const Sections& sections, uint32_t tag) {
 /// stages the params section against `model`'s live shapes into
 /// `*staged`. Nothing is mutated.
 bool ReadAndStage(const models::SequentialRecommender& model,
-                  const std::string& path, Sections* sections,
+                  const std::string& path, CheckpointFile* file,
                   std::vector<std::vector<float>>* staged) {
-  if (!ReadSections(path, sections)) return false;
-  const std::string* meta = FindSection(*sections, kSectionMeta);
-  const std::string* params_blob = FindSection(*sections, kSectionParams);
+  if (!ReadSections(path, file)) return false;
+  const std::string_view* meta = FindSection(*file, kSectionMeta);
+  const std::string_view* params_blob = FindSection(*file, kSectionParams);
   if (meta == nullptr || params_blob == nullptr) return false;
-  serial::Reader meta_in(*meta);
+  serial::Reader meta_in(meta->data(), meta->size());
   std::string saved_name;
   if (!meta_in.ReadString(&saved_name) || !meta_in.AtEnd() ||
       saved_name != model.name()) {
@@ -320,16 +336,17 @@ bool LoadTrainingCheckpoint(models::SequentialRecommender& model,
                             models::FitResumeState* state,
                             const std::string& path) {
   // Stage everything that can be staged before mutating the model.
-  Sections sections;
+  CheckpointFile file;
   std::vector<std::vector<float>> staged;
-  if (!ReadAndStage(model, path, &sections, &staged)) return false;
-  const std::string* model_state = FindSection(sections, kSectionModelState);
-  const std::string* fit_state = FindSection(sections, kSectionFitState);
+  if (!ReadAndStage(model, path, &file, &staged)) return false;
+  const std::string_view* model_state =
+      FindSection(file, kSectionModelState);
+  const std::string_view* fit_state = FindSection(file, kSectionFitState);
   if (model_state == nullptr || fit_state == nullptr) return false;
   models::FitResumeState parsed_state;
   if (!ParseFitState(*fit_state, &parsed_state)) return false;
 
-  serial::Reader state_in(*model_state);
+  serial::Reader state_in(model_state->data(), model_state->size());
   if (!model.LoadTrainingState(state_in) || !state_in.AtEnd()) return false;
   CommitParams(model, staged);
   *state = std::move(parsed_state);
@@ -338,9 +355,9 @@ bool LoadTrainingCheckpoint(models::SequentialRecommender& model,
 
 bool LoadCheckpointParameters(models::SequentialRecommender& model,
                               const std::string& path) {
-  Sections sections;
+  CheckpointFile file;
   std::vector<std::vector<float>> staged;
-  if (!ReadAndStage(model, path, &sections, &staged)) return false;
+  if (!ReadAndStage(model, path, &file, &staged)) return false;
   CommitParams(model, staged);
   return true;
 }

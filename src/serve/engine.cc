@@ -13,7 +13,6 @@
 #include "common/trace.h"
 #include "eval/metrics.h"
 #include "tensor/kernels.h"
-#include "tensor/primitives/primitives.h"
 #include "tensor/quant.h"
 #include "tensor/tensor.h"
 
@@ -189,37 +188,33 @@ bool ServingEngine::ScoreRowsQuantized(
       config_.score_shards, cands.data(),
       measure ? shard_seconds.data() : nullptr);
   if (measure) ObserveShardTimes(shard_seconds.data(), used);
-  // Exact fp32 re-rank: ops.dot is the same zero-seeded ascending-k chain
-  // MatMulTopK scores with, so every returned score carries the fp32
-  // path's bits; with rerank_k >= vocab every item is a candidate and the
-  // whole response is provably identical to the fp32 branch.
-  const tensor::primitives::Ops& ops = tensor::primitives::Active();
+  // Exact fp32 re-rank: each candidate's score is the zero-seeded
+  // ascending-k chain MatMulTopK scores with, so every returned score
+  // carries the fp32 path's bits; with rerank_k >= vocab every item is a
+  // candidate and the whole response is provably identical to the fp32
+  // branch.
+  Stopwatch rerank_watch;
   const float* tbl = table->data().data();
-  std::vector<tensor::kernels::TopKEntry> rerank;
-  rerank.reserve(kq);
+  std::vector<tensor::kernels::TopKEntry> best(k);
   size_t rescored = 0;
   for (int r = 0; r < rows; ++r) {
-    const float* rep = reps + static_cast<size_t>(r) * dim;
     const tensor::kernels::TopKEntry* crow =
         cands.data() + static_cast<size_t>(r) * kq;
-    rerank.clear();
-    for (int j = 0; j < kq && crow[j].index >= 0; ++j) {
-      rerank.push_back(
-          {crow[j].index,
-           ops.dot(dim, rep, tbl + static_cast<size_t>(crow[j].index) * dim)});
-    }
-    rescored += rerank.size();
-    std::sort(rerank.begin(), rerank.end(), tensor::kernels::BetterEntry);
+    for (int j = 0; j < kq && crow[j].index >= 0; ++j) ++rescored;
+    const int take = tensor::kernels::RerankTopK(
+        reps + static_cast<size_t>(r) * dim, tbl, dim, crow, kq, k,
+        best.data());
     Response& response = unique_responses[gemm_rows[r]];
-    const int take = std::min(k, static_cast<int>(rerank.size()));
     for (int j = 0; j < take; ++j) {
-      response.items.push_back(rerank[j].index);
-      response.scores.push_back(rerank[j].score);
+      response.items.push_back(best[j].index);
+      response.scores.push_back(best[j].score);
     }
   }
   if (measure) {
     ServeMetrics().quant_batches.Add();
     ServeMetrics().quant_rerank.Add(static_cast<double>(rescored));
+    ServeMetrics().quant_rerank_seconds.Observe(
+        rerank_watch.ElapsedSeconds());
   }
   return true;
 }

@@ -45,6 +45,11 @@ ServeMetricsT& ServeMetrics() {
       metrics::GetCounter("serve.quant.rerank_candidates_total", "candidates",
                           "Int8 top-k candidates re-scored exactly in fp32 "
                           "before the final selection."),
+      metrics::GetHistogram("serve.quant.rerank_seconds", "seconds",
+                            "Wall time of a quantized batch's fp32 re-rank "
+                            "of its int8 candidates, after the candidate "
+                            "pass.",
+                            metrics::ExponentialBuckets(1e-6, 10.0, 8)),
       metrics::GetCounter("serve.quant.fallbacks_total", "batches",
                           "Batches that requested int8 scoring but ran "
                           "fp32 (no quantized table, or non-finite "

@@ -28,6 +28,7 @@ struct ServeMetricsT {
   metrics::Histogram& score_seconds;    ///< serve.score_seconds
   metrics::Counter& quant_batches;      ///< serve.quant.batches_total
   metrics::Counter& quant_rerank;       ///< serve.quant.rerank_candidates_total
+  metrics::Histogram& quant_rerank_seconds;  ///< serve.quant.rerank_seconds
   metrics::Counter& quant_fallbacks;    ///< serve.quant.fallbacks_total
   metrics::Counter& reloads;            ///< serve.reload.reloads_total
   metrics::Counter& reload_failures;    ///< serve.reload.failures_total

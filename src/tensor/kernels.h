@@ -85,8 +85,9 @@ void MatMulAdd(const float* a, const float* b, float* c, int n, int m, int p,
 /// ranges (shard s covers [p*s/S, p*(s+1)/S), the thread pool's static
 /// formula), shards fan out across the shared pool — so parallelism is
 /// min(S, threads) even when n = 1 — and the per-shard selections merge
-/// under BetterEntry. A global top-k item is in the top k of its own
-/// shard, so the merge is bit-identical to the unsharded selection.
+/// under BetterEntry (MergeTopK, linear in S·k). A global top-k item is in
+/// the top k of its own shard, so the merge is bit-identical to the
+/// unsharded selection.
 /// `shards` is clamped to [1, p]; 1 parallelizes over batch rows instead.
 /// The plain entry points are the shards = 1 case.
 ///
@@ -113,6 +114,26 @@ int MatMulTopKQSharded(const std::int8_t* a, const float* a_scales,
                        const std::int8_t* b, const float* b_scales, int n,
                        int m, int p, int k, int shards, TopKEntry* out,
                        double* shard_seconds = nullptr);
+
+/// The shard merge behind the *Sharded entry points, public so benches can
+/// time it on its own. `runs` holds S per-shard selections laid out
+/// [S, n, k], each row sorted best-first under BetterEntry and -1-padded;
+/// out[i*k .. i*k+k) receives the k best of row i across all S runs, sorted
+/// and {-1, 0}-padded. A linear S-way merge of the sorted runs: it stops
+/// after k entries and never sorts. `out` must not alias `runs`.
+void MergeTopK(const TopKEntry* runs, int S, int n, int k, TopKEntry* out);
+
+/// Exact fp32 re-rank of one row's quantized candidates: scores the
+/// candidates cands[0 .. count) up to the first index -1 against row `a`
+/// [m] with rows of B [*, m], and writes the k best under BetterEntry to
+/// out[0 .. k), sorted best-first and {-1, 0}-padded. Each score is the
+/// zero-seeded ascending-k chain ops.dot computes (eight candidates per
+/// dot8 over a gathered tile, the remainder through dot), so it carries
+/// the bits of MatMulTopK's score for that item on every ISA tier.
+/// Candidate indices must be distinct. Returns the count written before
+/// the padding, min(k, candidates).
+int RerankTopK(const float* a, const float* b, int m,
+               const TopKEntry* cands, int count, int k, TopKEntry* out);
 
 }  // namespace causer::tensor::kernels
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "common/serial.h"
 #include "data/generator.h"
 #include "data/split.h"
 #include "models/gru4rec.h"
@@ -223,6 +224,44 @@ TEST_F(CheckpointTest, TruncationAtEveryBoundaryRejectedWithoutMutation) {
   WriteFile(path, good);
   models::FitResumeState st;
   EXPECT_TRUE(LoadTrainingCheckpoint(victim, &st, path));
+}
+
+TEST_F(CheckpointTest, WeightsOnlyLoadStillChecksOptimizerSectionCrc) {
+  auto cfg = SmallConfig();
+  models::Gru4Rec a(cfg);
+  TrainBriefly(a);
+  std::string path = CheckpointPath(dir_.string(), 0);
+  ASSERT_TRUE(SaveTrainingCheckpoint(a, SomeFitState(), path));
+  std::string bad = ReadFile(path);
+
+  // Corrupt one byte of the training-state section (tag 3, which holds
+  // the optimizer moments), then reseal the whole-file checksum so that
+  // only the section's own CRC can catch it.
+  size_t pos = 12;
+  uint32_t section_count = 0;
+  std::memcpy(&section_count, bad.data() + 8, 4);
+  bool corrupted = false;
+  for (uint32_t s = 0; s < section_count; ++s) {
+    uint32_t tag = 0;
+    uint64_t size = 0;
+    std::memcpy(&tag, bad.data() + pos, 4);
+    std::memcpy(&size, bad.data() + pos + 4, 8);
+    pos += 16;
+    if (tag == 3 && size > 0) {
+      bad[pos + size / 2] = static_cast<char>(bad[pos + size / 2] ^ 0x01);
+      corrupted = true;
+    }
+    pos += size;
+  }
+  ASSERT_TRUE(corrupted);
+  const uint32_t file_crc = serial::Crc32(bad.data(), pos);
+  std::memcpy(bad.data() + pos, &file_crc, 4);
+  WriteFile(path, bad);
+
+  models::Gru4Rec victim(cfg);
+  const auto before = StateOf(victim);
+  EXPECT_FALSE(LoadCheckpointParameters(victim, path));
+  EXPECT_EQ(StateOf(victim), before);
 }
 
 TEST_F(CheckpointTest, ShortWriteFailsAndPreservesPreviousCheckpoint) {

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -26,6 +28,9 @@
 #include "models/gru4rec.h"
 #include "serve/engine.h"
 #include "serve/session_store.h"
+#include "tensor/kernels.h"
+#include "tensor/primitives/primitives.h"
+#include "tensor/quant.h"
 
 namespace causer::serve {
 namespace {
@@ -475,6 +480,88 @@ TEST(ServingQuantTest, Int8ScoresAreFp32ExactEvenWithMinimalRerank) {
       EXPECT_EQ(responses[r].scores[j], scores[item])
           << "req " << r << " item " << item;
     }
+  }
+}
+
+/// The int8 engine's answer for `request`, rebuilt without the engine: the
+/// state its store builds (the bootstrap's most recent max_history steps
+/// replayed into a fresh session), the kernel's rerank_k candidates for
+/// it, one ops.dot per candidate, a full sort, and the first top_k.
+std::vector<tensor::kernels::TopKEntry> ReferenceRerank(
+    models::Gru4Rec& model, const Request& request, int rerank_k,
+    int top_k) {
+  const nn::Tensor* table = model.OutputItemTable();
+  const tensor::QuantizedMatrix* qtable = model.QuantizedItemTable();
+  const int dim = table->cols();
+  const int vocab = table->rows();
+  auto state = model.NewSessionState(request.user);
+  const auto& history = *request.bootstrap;
+  const size_t cap = static_cast<size_t>(model.config().max_history);
+  for (size_t t = history.size() > cap ? history.size() - cap : 0;
+       t < history.size(); ++t) {
+    model.AdvanceState(*state, history[t]);
+  }
+  std::vector<float> rep(dim);
+  if (!model.StateRep(*state, rep.data())) return {};
+  tensor::QuantizedMatrix qrep;
+  if (!tensor::QuantizeRows(rep.data(), 1, dim, &qrep)) return {};
+  std::vector<tensor::kernels::TopKEntry> cands(rerank_k);
+  tensor::kernels::MatMulTopKQ(qrep.data.data(), qrep.scales.data(),
+                               qtable->data.data(), qtable->scales.data(), 1,
+                               dim, vocab, rerank_k, cands.data());
+  const tensor::primitives::Ops& ops = tensor::primitives::Active();
+  for (auto& c : cands) {
+    const float* row =
+        table->data().data() + static_cast<size_t>(c.index) * dim;
+    c.score = ops.dot(dim, rep.data(), row);
+  }
+  std::sort(cands.begin(), cands.end(), tensor::kernels::BetterEntry);
+  cands.resize(top_k);
+  return cands;
+}
+
+TEST(ServingQuantTest, Int8RerankOfPartialCandidateSetMatchesReference) {
+  IsaGuard guard;
+  models::Gru4Rec& model = TrainedTinyGru();
+  // top_k < rerank_k < vocab, with 27 candidates: three dot8 groups of
+  // eight and a remainder of three scored through ops.dot. At top_k = 25
+  // at least one remainder candidate is returned.
+  ServingConfig sc;
+  sc.quantize_int8 = true;
+  sc.rerank_k = 27;
+  ASSERT_LT(sc.rerank_k, TinyData().num_items);
+  ASSERT_NE(sc.rerank_k % 8, 0);
+  ASSERT_NE(model.QuantizedItemTable(), nullptr);
+  const std::vector<Request> requests = TestSplitRequests(8);
+  for (cpu::Isa isa : cpu::CompiledIsas()) {
+    if (!cpu::IsaSupported(isa)) continue;
+    ASSERT_TRUE(cpu::SetIsaOverride(cpu::IsaName(isa)));
+    for (int threads : {1, 2, 8}) {
+      SetDefaultThreads(threads);
+      for (int top_k : {5, 25}) {
+        sc.top_k = top_k;
+        ServingEngine engine(model, sc);
+        const auto responses = engine.ScoreBatch(requests);
+        ASSERT_EQ(responses.size(), requests.size());
+        for (size_t r = 0; r < requests.size(); ++r) {
+          const std::string label = std::string(cpu::IsaName(isa)) + " t" +
+                                    std::to_string(threads) + " top" +
+                                    std::to_string(top_k) + " req " +
+                                    std::to_string(r);
+          const auto expected =
+              ReferenceRerank(model, requests[r], sc.rerank_k, top_k);
+          ASSERT_EQ(responses[r].items.size(), expected.size()) << label;
+          for (size_t j = 0; j < expected.size(); ++j) {
+            EXPECT_EQ(responses[r].items[j], expected[j].index) << label;
+            EXPECT_EQ(std::memcmp(&responses[r].scores[j], &expected[j].score,
+                                  sizeof(float)),
+                      0)
+                << label << " rank " << j;
+          }
+        }
+      }
+    }
+    cpu::ResetIsaForTest();
   }
 }
 

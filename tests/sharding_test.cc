@@ -25,6 +25,7 @@
 #include "common/thread_pool.h"
 #include "data/generator.h"
 #include "data/split.h"
+#include "eval/metrics.h"
 #include "models/gru4rec.h"
 #include "serve/engine.h"
 #include "serve/session_store.h"
@@ -165,6 +166,96 @@ TEST(ShardedTopKTest, Int8BitIdenticalIncludingThresholdPriming) {
       }
       cpu::ResetIsaForTest();
       SetDefaultThreads(1);
+    }
+  }
+}
+
+/// A random catalog whose rows just around every shard boundary of
+/// S in {2, 3, 7} are copies of one hot row: 4 * a[0] for the first row
+/// of `a`, so that row's 24 best scores are one exact tie split across
+/// shards, and the other rows see the same tie somewhere in their order.
+std::vector<float> BoundaryTieMatrix(int p, int m, const std::vector<float>& a,
+                                     Rng& rng) {
+  std::vector<float> b = RandomMatrix(p, m, rng);
+  for (int S : {2, 3, 7}) {
+    for (int s = 1; s < S; ++s) {
+      const int boundary = static_cast<int>(static_cast<int64_t>(p) * s / S);
+      for (int r = boundary - 2; r < boundary + 2; ++r) {
+        for (int c = 0; c < m; ++c) {
+          b[static_cast<size_t>(r) * m + c] = 4.0f * a[c];
+        }
+      }
+    }
+  }
+  return b;
+}
+
+/// eval::TopK over one materialized row of scores, as entries.
+std::vector<TopKEntry> ReferenceTopK(const std::vector<float>& scores, int k) {
+  std::vector<TopKEntry> out(k);
+  const std::vector<int> idx = eval::TopK(scores, k);
+  for (size_t t = 0; t < idx.size(); ++t) out[t] = {idx[t], scores[idx[t]]};
+  return out;
+}
+
+TEST(ShardedTopKTest, MergeKeepsBoundaryTiesInIndexOrder) {
+  IsaThreadGuard guard;
+  Rng rng(20260818);
+  // p = 3000: at k = 2048 every shard of S = 2, 3, 7 is narrower than k,
+  // so each per-shard selection comes back -1-padded. k = 300 compacts
+  // several times through the partition passes of large k, and S = 1
+  // checks the unsharded selection against the same reference.
+  const int n = 3, m = 16, p = 3000;
+  const auto a = RandomMatrix(n, m, rng);
+  const auto b = BoundaryTieMatrix(p, m, a, rng);
+  std::vector<float> fp32(static_cast<size_t>(n) * p, 0.0f);
+  tensor::kernels::MatMulAddNaive(a.data(), b.data(), fp32.data(), n, m, p,
+                                  false, true);
+  tensor::QuantizedMatrix qa, qb;
+  ASSERT_TRUE(tensor::QuantizeRows(a.data(), n, m, &qa));
+  ASSERT_TRUE(tensor::QuantizeRows(b.data(), p, m, &qb));
+  std::vector<float> int8(fp32.size());
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < p; ++j) {
+      const std::int8_t* ai = qa.data.data() + static_cast<size_t>(i) * m;
+      const std::int8_t* bj = qb.data.data() + static_cast<size_t>(j) * m;
+      std::int32_t acc = 0;
+      for (int c = 0; c < m; ++c) acc += std::int32_t{ai[c]} * bj[c];
+      int8[static_cast<size_t>(i) * p + j] =
+          static_cast<float>(acc) * (qa.scales[i] * qb.scales[j]);
+    }
+  }
+  for (int k : {10, 128, 300, 2048}) {
+    std::vector<TopKEntry> expected_fp32, expected_int8;
+    for (int i = 0; i < n; ++i) {
+      const auto row = [&](const std::vector<float>& all) {
+        return std::vector<float>(all.begin() + static_cast<size_t>(i) * p,
+                                  all.begin() + static_cast<size_t>(i + 1) * p);
+      };
+      for (const auto& e : ReferenceTopK(row(fp32), k)) {
+        expected_fp32.push_back(e);
+      }
+      for (const auto& e : ReferenceTopK(row(int8), k)) {
+        expected_int8.push_back(e);
+      }
+    }
+    // The hot row's best scores are the straddling tie itself.
+    EXPECT_EQ(expected_fp32[1].score, expected_fp32[0].score);
+    for (int threads : {1, 2, 8}) {
+      SetDefaultThreads(threads);
+      for (int shards : {1, 2, 3, 7}) {
+        const std::string label = " t" + std::to_string(threads) + " k" +
+                                  std::to_string(k) + " S" +
+                                  std::to_string(shards);
+        std::vector<TopKEntry> actual(static_cast<size_t>(n) * k);
+        tensor::kernels::MatMulTopKSharded(a.data(), b.data(), n, m, p, k,
+                                           shards, actual.data());
+        ExpectBitIdentical(expected_fp32, actual, "fp32" + label);
+        tensor::kernels::MatMulTopKQSharded(
+            qa.data.data(), qa.scales.data(), qb.data.data(),
+            qb.scales.data(), n, m, p, k, shards, actual.data());
+        ExpectBitIdentical(expected_int8, actual, "int8" + label);
+      }
     }
   }
 }
