@@ -252,25 +252,12 @@ TopKResult RunTopK(int catalog, int k, bool smoke) {
 constexpr int kStageN = 1, kStageM = 64, kStageP = 20000, kStageKq = 2048,
               kStageK = 10;
 
-/// Median and p10/p90 of per-call wall times, in microseconds.
-struct StageTiming {
-  double p10 = 0.0, median = 0.0, p90 = 0.0;
-};
-
+/// p10/median/p90 of `samples` calls of `fn` after one warm-up call
+/// (scratch allocations, caches).
 template <typename Fn>
-StageTiming TimeStage(Fn&& fn, int samples) {
-  fn();  // warm-up: scratch allocations, caches
-  std::vector<double> us(samples);
-  for (double& t : us) {
-    Stopwatch sw;
-    fn();
-    t = sw.ElapsedSeconds() * 1e6;
-  }
-  std::sort(us.begin(), us.end());
-  auto at = [&](double q) {
-    return us[static_cast<size_t>(q * (samples - 1) + 0.5)];
-  };
-  return {at(0.1), at(0.5), at(0.9)};
+bench::Timing TimeStage(Fn&& fn, int samples) {
+  fn();
+  return bench::TimeCalls(fn, samples);
 }
 
 bool SameEntries(const std::vector<tensor::kernels::TopKEntry>& x,
@@ -287,7 +274,7 @@ bool SameEntries(const std::vector<tensor::kernels::TopKEntry>& x,
 
 struct StageResult {
   int shards = 0;
-  StageTiming candidates, merge, rerank;
+  bench::Timing candidates, merge, rerank;
   bool exact = true;
 };
 
@@ -655,7 +642,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> stage_rows;
   for (const StageResult& r : RunInt8Stages(smoke)) {
     ok = ok && r.exact;
-    auto cell = [](const StageTiming& t) {
+    auto cell = [](const bench::Timing& t) {
       char buf[64];
       std::snprintf(buf, sizeof(buf), "%7.1f/%7.1f/%7.1f", t.p10, t.median,
                     t.p90);
@@ -665,15 +652,11 @@ int main(int argc, char** argv) {
                 cell(r.candidates).c_str(),
                 r.shards > 1 ? cell(r.merge).c_str() : "-",
                 cell(r.rerank).c_str(), r.exact ? "yes" : "NO");
-    auto timing = [](const StageTiming& t) {
-      bench::JsonObject o;
-      o.Set("p10_us", t.p10).Set("median_us", t.median).Set("p90_us", t.p90);
-      return o.Str();
-    };
     bench::JsonObject row;
-    row.Set("shards", r.shards).SetRaw("candidate_pass", timing(r.candidates));
-    if (r.shards > 1) row.SetRaw("merge", timing(r.merge));
-    row.SetRaw("rerank", timing(r.rerank))
+    row.Set("shards", r.shards)
+        .SetRaw("candidate_pass", bench::TimingJson(r.candidates));
+    if (r.shards > 1) row.SetRaw("merge", bench::TimingJson(r.merge));
+    row.SetRaw("rerank", bench::TimingJson(r.rerank))
         .Set("matches_sorted_full_scores", r.exact);
     stage_rows.push_back(row.Str());
   }

@@ -5,7 +5,8 @@
 //   (1) incremental: advancing a cached session one interaction at a time
 //       (AdvanceState + ScoreFromState) vs. re-scoring the whole history
 //       with ScoreAll at every event, at history length 50 — for GRU4Rec
-//       (the gated number) and Causer (reported);
+//       (the gated number, best pass) and Causer (reported), each with the
+//       median and p10/p90 across passes;
 //   (2) batched: 32 concurrent users scored through the engine's batched
 //       [B,d] x [V,d]^T GEMM + fused top-k path vs. 32 independent
 //       ScoreAll + eval::TopK calls, plus the unbatched-incremental
@@ -59,16 +60,16 @@ std::vector<data::Step> SyntheticHistory(int user, int num_items,
 }
 
 /// Checks the incremental path bit-identical to full replay at every prefix
-/// length, then times both. Returns {replay_us, incremental_us, speedup}.
+/// length, then times `passes` passes of each over the whole history.
 struct IncrementalResult {
-  double replay_us_per_event = 0.0;
-  double incremental_us_per_event = 0.0;
-  double speedup = 0.0;
+  bench::Timing replay;       ///< us per event
+  bench::Timing incremental;  ///< us per event
+  double speedup = 0.0;       ///< best replay pass / best incremental pass
   bool bit_identical = true;
 };
 
 IncrementalResult RunIncremental(models::SequentialRecommender& model,
-                                 int user, int repeats) {
+                                 int user, int passes) {
   const auto history = SyntheticHistory(user, model.config().num_items,
                                         kHistoryLen);
   IncrementalResult result;
@@ -88,31 +89,40 @@ IncrementalResult RunIncremental(models::SequentialRecommender& model,
     }
   }
 
-  double best_replay = 1e30, best_incremental = 1e30;
   float sink = 0.0f;
-  for (int r = 0; r < repeats; ++r) {
-    std::vector<data::Step> prefix;
-    Stopwatch sw;
-    for (const auto& step : history) {
-      prefix.push_back(step);
-      sink += model.ScoreAll(user, prefix)[0];
-    }
-    best_replay = std::min(best_replay, sw.ElapsedSeconds());
-  }
-  for (int r = 0; r < repeats; ++r) {
-    auto state = model.NewSessionState(user);
-    Stopwatch sw;
-    for (const auto& step : history) {
-      model.AdvanceState(*state, step);
-      sink += model.ScoreFromState(*state)[0];
-    }
-    best_incremental = std::min(best_incremental, sw.ElapsedSeconds());
-  }
+  result.replay = bench::TimeCalls(
+      [&] {
+        std::vector<data::Step> prefix;
+        for (const auto& step : history) {
+          prefix.push_back(step);
+          sink += model.ScoreAll(user, prefix)[0];
+        }
+      },
+      passes, kHistoryLen);
+  // One fresh session per pass, created outside the timed calls.
+  std::vector<std::unique_ptr<models::SessionState>> states(passes);
+  for (auto& state : states) state = model.NewSessionState(user);
+  int pass = 0;
+  result.incremental = bench::TimeCalls(
+      [&] {
+        models::SessionState& state = *states[pass++];
+        for (const auto& step : history) {
+          model.AdvanceState(state, step);
+          sink += model.ScoreFromState(state)[0];
+        }
+      },
+      passes, kHistoryLen);
   if (sink == 12345.678f) std::printf("unreachable\n");
-  result.replay_us_per_event = best_replay / kHistoryLen * 1e6;
-  result.incremental_us_per_event = best_incremental / kHistoryLen * 1e6;
-  result.speedup = best_replay / best_incremental;
+  result.speedup = result.replay.best / result.incremental.best;
   return result;
+}
+
+/// "median [p10, p90]" of a timing, for the report tables.
+std::string Spread(const bench::Timing& t) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.1f [%.1f, %.1f]", t.median, t.p10,
+                t.p90);
+  return buf;
 }
 
 models::ModelConfig ServingModelConfig() {
@@ -121,9 +131,9 @@ models::ModelConfig ServingModelConfig() {
   config.num_items = kNumItems;
   config.embedding_dim = 32;
   config.hidden_dim = 32;
-  // The window must cover the 50-step histories: at the cap every advance
-  // slides the window and forces an O(window) rebuild, which is the replay
-  // path by another name.
+  // The window must cover the 50-step histories: at the cap every append
+  // slides the window and the next score re-folds all of it, which is the
+  // replay path by another name.
   config.max_history = 64;
   return config;
 }
@@ -150,16 +160,25 @@ int main(int argc, char** argv) {
   bool ok = true;
 
   // -- Section 1: incremental advance vs full replay ----------------------
-  std::printf("Incremental vs full replay (history %d, per event):\n",
-              kHistoryLen);
-  std::printf("%-16s %12s %12s %9s %6s\n", "model", "replay us",
-              "incremental", "speedup", "exact");
+  // The gate reads the best pass. The median and its p10/p90 show the
+  // spread, so enough passes run for ten to lie beyond each percentile.
+  const int passes = smoke ? 20 : 100;
+  std::printf(
+      "Incremental vs full replay (history %d, us per event; best pass, "
+      "and median [p10, p90] of %d passes):\n",
+      kHistoryLen, passes);
+  std::printf("%-8s %8s %22s %8s %22s %9s %6s\n", "model", "replay",
+              "replay spread", "incr", "incr spread", "speedup", "exact");
+  auto print_row = [](const char* name, const IncrementalResult& r) {
+    std::printf("%-8s %8.1f %22s %8.1f %22s %8.2fx %6s\n", name,
+                r.replay.best, Spread(r.replay).c_str(), r.incremental.best,
+                Spread(r.incremental).c_str(), r.speedup,
+                r.bit_identical ? "yes" : "NO");
+  };
   models::Gru4Rec gru(ServingModelConfig());
-  IncrementalResult gru_inc = RunIncremental(gru, 0, repeats);
+  IncrementalResult gru_inc = RunIncremental(gru, 0, passes);
   ok = ok && gru_inc.bit_identical;
-  std::printf("%-16s %12.1f %12.1f %8.2fx %6s\n", "GRU4Rec",
-              gru_inc.replay_us_per_event, gru_inc.incremental_us_per_event,
-              gru_inc.speedup, gru_inc.bit_identical ? "yes" : "NO");
+  print_row("GRU4Rec", gru_inc);
 
   // Causer rides on a small real dataset (its config needs clusters and
   // item features); reported, not gated — its grouped scoring dominates
@@ -176,12 +195,9 @@ int main(int argc, char** argv) {
   causer_config.cluster_dim = 16;
   causer_config.base.max_history = 64;
   core::CauserModel causer(causer_config);
-  IncrementalResult causer_inc = RunIncremental(causer, 0, repeats);
+  IncrementalResult causer_inc = RunIncremental(causer, 0, passes);
   ok = ok && causer_inc.bit_identical;
-  std::printf("%-16s %12.1f %12.1f %8.2fx %6s\n", "Causer",
-              causer_inc.replay_us_per_event,
-              causer_inc.incremental_us_per_event, causer_inc.speedup,
-              causer_inc.bit_identical ? "yes" : "NO");
+  print_row("Causer", causer_inc);
 
   // -- Section 2: batched engine scoring vs per-request ScoreAll ----------
   std::vector<std::vector<data::Step>> histories;
@@ -196,7 +212,7 @@ int main(int argc, char** argv) {
     requests[u].user = u;
     requests[u].bootstrap = &histories[u];
   }
-  // Warm the session store (bootstrap replay happens once, not per round),
+  // Warm the session store (each bootstrap is encoded once, not per round),
   // and check the engine's batched responses against ScoreAll + TopK.
   auto responses = engine.ScoreBatch(requests);
   bool batch_exact = true;
@@ -333,13 +349,20 @@ int main(int argc, char** argv) {
   // -- Report -------------------------------------------------------------
   bench::JsonObject incremental_row;
   incremental_row.Set("history_len", kHistoryLen)
-      .Set("gru4rec_replay_us_per_event", gru_inc.replay_us_per_event)
-      .Set("gru4rec_incremental_us_per_event",
-           gru_inc.incremental_us_per_event)
+      .Set("passes", passes)
+      .Set("gru4rec_replay_us_per_event", gru_inc.replay.best)
+      .SetRaw("gru4rec_replay_us_per_event_spread",
+              bench::TimingJson(gru_inc.replay))
+      .Set("gru4rec_incremental_us_per_event", gru_inc.incremental.best)
+      .SetRaw("gru4rec_incremental_us_per_event_spread",
+              bench::TimingJson(gru_inc.incremental))
       .Set("gru4rec_speedup", gru_inc.speedup)
-      .Set("causer_replay_us_per_event", causer_inc.replay_us_per_event)
-      .Set("causer_incremental_us_per_event",
-           causer_inc.incremental_us_per_event)
+      .Set("causer_replay_us_per_event", causer_inc.replay.best)
+      .SetRaw("causer_replay_us_per_event_spread",
+              bench::TimingJson(causer_inc.replay))
+      .Set("causer_incremental_us_per_event", causer_inc.incremental.best)
+      .SetRaw("causer_incremental_us_per_event_spread",
+              bench::TimingJson(causer_inc.incremental))
       .Set("causer_speedup", causer_inc.speedup)
       .Set("bit_identical",
            gru_inc.bit_identical && causer_inc.bit_identical);

@@ -1,6 +1,7 @@
 #ifndef CAUSER_BENCH_BENCH_UTIL_H_
 #define CAUSER_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -118,6 +119,30 @@ MakeBaselines(const data::Dataset& dataset, uint64_t seed = 7) {
   return out;
 }
 
+/// Order statistics of repeated wall-time samples, in microseconds.
+struct Timing {
+  double best = 0.0, p10 = 0.0, median = 0.0, p90 = 0.0;
+};
+
+/// Times `samples` back-to-back calls of `fn` (no warm-up: make one first
+/// if the first call is not representative) and returns the nearest-rank
+/// order statistics of each call's wall time divided by `per` (e.g. the
+/// events one call handles).
+template <typename Fn>
+Timing TimeCalls(Fn&& fn, int samples, int per = 1) {
+  std::vector<double> us(samples);
+  for (double& t : us) {
+    Stopwatch sw;
+    fn();
+    t = sw.ElapsedSeconds() * 1e6 / per;
+  }
+  std::sort(us.begin(), us.end());
+  auto at = [&](double q) {
+    return us[static_cast<size_t>(q * (samples - 1) + 0.5)];
+  };
+  return {us.front(), at(0.1), at(0.5), at(0.9)};
+}
+
 inline void PrintHeader(const std::string& title, const std::string& paper) {
   std::printf("\n==================================================\n");
   std::printf("%s\n", title.c_str());
@@ -177,6 +202,13 @@ inline std::string JsonArray(const std::vector<std::string>& elements) {
     out += elements[i];
   }
   return out + "]";
+}
+
+/// A timing's p10/median/p90 as a JSON object.
+inline std::string TimingJson(const Timing& t) {
+  JsonObject o;
+  o.Set("p10_us", t.p10).Set("median_us", t.median).Set("p90_us", t.p90);
+  return o.Str();
 }
 
 inline bool WriteTextFile(const std::string& path, const std::string& text) {

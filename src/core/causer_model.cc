@@ -566,13 +566,16 @@ std::vector<float> CauserModel::ScoreAll(
   return out;
 }
 
-/// Incremental serving session: the history window plus, per filtered-
-/// history group, the backbone state over that group's kept steps. With
-/// near-hard assignments there are at most ~K groups, so advancing an
-/// event costs ~K cell steps however long the session is. All storage is
-/// plain heap vectors (states are copied out of each step's arena).
+/// Incremental serving session: the window plus, per filtered-history
+/// group, the backbone state over that group's kept steps of the first
+/// `folded` window steps. With near-hard assignments there are at most ~K
+/// groups, so folding one appended step costs ~K cell steps however long
+/// the session is. All storage is plain heap vectors (states are copied
+/// out of each step's arena).
 class CauserModel::ServeState : public models::SessionState {
  public:
+  using SessionState::SessionState;
+
   /// One filtered-history group: the candidates whose causal filter keeps
   /// exactly `kept_steps` of the window, and the backbone run over them.
   struct GroupState {
@@ -594,10 +597,7 @@ class CauserModel::ServeState : public models::SessionState {
     group_of.assign(num_items, 0);
   }
 
-  int user = 0;
-  std::vector<data::Step> window;  // last <= max_history appended steps
-  bool dirty = false;   // groups must be rebuilt from the window
-  uint64_t epoch = 0;   // serve_epoch_ the cached groups were built under
+  uint64_t epoch = 0;  // serve_epoch_ the cached groups were built under
   /// Backbone over every non-empty window step unfiltered: Eq. 10's
   /// fallback encoding.
   GroupState unfiltered;
@@ -609,12 +609,7 @@ class CauserModel::ServeState : public models::SessionState {
 };
 
 std::unique_ptr<models::SessionState> CauserModel::NewSessionState(int user) {
-  EnsureCaches();
-  auto state = std::make_unique<ServeState>();
-  state->user = user;
-  state->epoch = serve_epoch_;
-  state->Reset(config_.num_items);
-  return state;
+  return std::make_unique<ServeState>(user);
 }
 
 void CauserModel::AdvanceGroups(ServeState& state, int t) {
@@ -671,40 +666,6 @@ void CauserModel::AdvanceGroups(ServeState& state, int t) {
   state.groups = std::move(next);
 }
 
-void CauserModel::AdvanceState(models::SessionState& state,
-                               const data::Step& step) {
-  auto* s = dynamic_cast<ServeState*>(&state);
-  CAUSER_CHECK(s != nullptr);
-  s->window.push_back(step);
-  bool slid = false;
-  if (static_cast<int>(s->window.size()) > config_.max_history) {
-    // Only the most recent max_history steps can influence ScoreAll, so
-    // the window is bounded; the cached states now include an evicted step
-    // and must be replayed from the window.
-    s->window.erase(s->window.begin());
-    slid = true;
-  }
-  EnsureCaches();
-  if (slid || s->epoch != serve_epoch_) s->dirty = true;
-  // Rebuilds are deferred to the next score, so a burst of advances after
-  // a slide or a cache refresh pays for one rebuild, not many.
-  if (s->dirty || step.items.empty()) return;  // empty steps never encode
-  tensor::NoGradGuard guard;
-  AdvanceGroups(*s, static_cast<int>(s->window.size()) - 1);
-}
-
-void CauserModel::RebuildServeState(ServeState& state) {
-  tensor::NoGradGuard guard;
-  state.Reset(config_.num_items);
-  for (size_t t = 0; t < state.window.size(); ++t) {
-    if (!state.window[t].items.empty()) {
-      AdvanceGroups(state, static_cast<int>(t));
-    }
-  }
-  state.epoch = serve_epoch_;
-  state.dirty = false;
-}
-
 std::vector<float> CauserModel::ScoreFromState(models::SessionState& state) {
   auto* s = dynamic_cast<ServeState*>(&state);
   CAUSER_CHECK(s != nullptr);
@@ -713,8 +674,18 @@ std::vector<float> CauserModel::ScoreFromState(models::SessionState& state) {
   const int v = config_.num_items;
   std::vector<float> out(v, 0.0f);
   if (s->window.empty()) return out;  // ScoreAll's empty-history zeros
-  if (s->epoch != serve_epoch_) s->dirty = true;
-  if (s->dirty) RebuildServeState(*s);
+  // Fold the window steps the groups have not seen. The groups filter
+  // through w_cache_, so a refresh since they were built re-folds the
+  // whole window, as does a slide (folded reset to 0).
+  if (s->epoch != serve_epoch_) s->folded = 0;
+  if (s->folded == 0) {
+    s->Reset(v);
+    s->epoch = serve_epoch_;
+  }
+  for (size_t t = s->folded; t < s->window.size(); ++t) {
+    if (!s->window[t].items.empty()) AdvanceGroups(*s, static_cast<int>(t));
+  }
+  s->folded = s->window.size();
   // Scratch (reconstructed states, attention, pooling) lives on the arena;
   // only the plain `out` floats leave the scope.
   tensor::ArenaScope arena_scope;

@@ -122,16 +122,14 @@ class CauserModel : public models::SequentialRecommender {
 
   // Incremental serving (docs/PERFORMANCE.md, "Online serving"): the
   // session caches the candidates' filtered-history groups and each
-  // group's backbone states (GRU h / LSTM (h, c)), so appending one
-  // interaction splits the ~K groups by the items each candidate's filter
-  // keeps and advances each by a single cell step instead of replaying the
-  // backbone over the whole window. ScoreFromState stays bit-identical to
-  // ScoreAll over the appended history. After a window slide or a
-  // parameter update (TrainEpoch / restore) the groups are rebuilt on the
-  // next score by replaying the window through the same split.
+  // group's backbone states (GRU h / LSTM (h, c)). ScoreFromState first
+  // folds the steps appended since the last score: each splits the ~K
+  // groups by the items each candidate's filter keeps and advances each by
+  // a single cell step instead of replaying the backbone over the whole
+  // window. After a window slide or a cache refresh (TrainEpoch / restore)
+  // the fold starts over from the first window step. Scores stay
+  // bit-identical to ScoreAll over the appended history.
   std::unique_ptr<models::SessionState> NewSessionState(int user) override;
-  void AdvanceState(models::SessionState& state,
-                    const data::Step& step) override;
   std::vector<float> ScoreFromState(models::SessionState& state) override;
 
   /// Causer's resume state on top of the base RNG stream: the three Adam
@@ -218,18 +216,12 @@ class CauserModel : public models::SequentialRecommender {
                   const std::vector<float>& user_bias,
                   std::vector<float>* out);
 
-  /// Appends window step t (non-empty) to a serve session: advances the
+  /// Folds window step t (non-empty) into a serve session: advances the
   /// unfiltered encoding, then splits every group by the items of the step
   /// its candidates' filters keep, one cell step per child that kept any.
   /// The only code that assigns a session's candidates to groups; with
   /// use_causal off all of them stay in the fallback group.
   void AdvanceGroups(ServeState& state, int t);
-
-  /// Rebuilds a serve session's groups (after a window slide or a cache
-  /// refresh) by resetting it to the fallback group and replaying its
-  /// window through AdvanceGroups: the bounded O(max_history) step of the
-  /// otherwise O(1)-per-event serving path.
-  void RebuildServeState(ServeState& state);
 
   /// Attention weights over the encoded states: [T, 1].
   nn::Tensor StepWeights(const nn::Tensor& states);

@@ -32,79 +32,45 @@ Tensor Gru4Rec::Represent(int user, const std::vector<data::Step>& history) {
   return out_proj_->Forward(h);
 }
 
-/// Incremental session: the history window (bounded by max_history, the
-/// only part of the history ScoreAll can see) plus the GRU hidden state
-/// after consuming it. The hidden floats are copied out of each step's
-/// arena, so the state owns plain heap storage.
+/// Incremental session: the window plus the GRU hidden state after
+/// consuming its first `folded` steps. The hidden floats are copied out of
+/// each step's arena, so the state owns plain heap storage.
 class Gru4Rec::State : public SessionState {
  public:
-  std::vector<data::Step> window;
+  using SessionState::SessionState;
   std::vector<float> h;  // [hidden_dim]; empty = no non-empty step yet
-  /// The window slid (an old step left): the cached h includes a step that
-  /// no longer counts, so it must be replayed from the window.
-  bool dirty = false;
 };
 
-std::unique_ptr<SessionState> Gru4Rec::NewSessionState(int /*user*/) {
-  return std::make_unique<State>();
+std::unique_ptr<SessionState> Gru4Rec::NewSessionState(int user) {
+  return std::make_unique<State>(user);
 }
 
-void Gru4Rec::AdvanceState(SessionState& state, const data::Step& step) {
+Tensor Gru4Rec::RepFromState(SessionState& state) {
   auto* s = dynamic_cast<State*>(&state);
   CAUSER_CHECK(s != nullptr);
-  s->window.push_back(step);
-  if (static_cast<int>(s->window.size()) > config_.max_history) {
-    s->window.erase(s->window.begin());
-    s->dirty = true;  // h still carries the evicted step; rebuild lazily
+  if (s->folded == 0) s->h.clear();
+  Tensor h = s->h.empty() ? cell_->InitialState()
+                          : Tensor::FromData(1, cell_->hidden_dim(), s->h);
+  // Same cell applications Represent chains (empty steps skipped), so
+  // resuming from the copied-out floats yields bit-identical values.
+  bool stepped = false;
+  for (size_t t = s->folded; t < s->window.size(); ++t) {
+    if (s->window[t].items.empty()) continue;
+    h = cell_->Forward(StepEmbedding(*in_items_, s->window[t]), h);
+    stepped = true;
   }
-  if (s->dirty || step.items.empty()) return;  // ScoreAll skips empty steps
-  tensor::NoGradGuard guard;
-  tensor::ArenaScope arena_scope;
-  Tensor h_prev = s->h.empty()
-                      ? cell_->InitialState()
-                      : Tensor::FromData(1, cell_->hidden_dim(), s->h);
-  // Same cell application Represent chains — feeding it the copied-out
-  // floats of the previous state yields bit-identical values.
-  Tensor h = cell_->Forward(StepEmbedding(*in_items_, step), h_prev);
-  s->h.assign(h.data().begin(), h.data().end());
-}
-
-void Gru4Rec::RebuildIfDirty(State& state) {
-  if (!state.dirty) return;
-  tensor::NoGradGuard guard;
-  tensor::ArenaScope arena_scope;
-  Tensor h = cell_->InitialState();
-  bool any = false;
-  for (const auto& step : state.window) {
-    if (step.items.empty()) continue;
-    h = cell_->Forward(StepEmbedding(*in_items_, step), h);
-    any = true;
-  }
-  if (any) {
-    state.h.assign(h.data().begin(), h.data().end());
-  } else {
-    state.h.clear();
-  }
-  state.dirty = false;
-}
-
-Tensor Gru4Rec::RepFromState(State& state) {
-  RebuildIfDirty(state);
-  Tensor h = state.h.empty()
-                 ? cell_->InitialState()
-                 : Tensor::FromData(1, cell_->hidden_dim(), state.h);
+  if (stepped) s->h.assign(h.data().begin(), h.data().end());
+  s->folded = s->window.size();
   return out_proj_->Forward(h);
 }
 
 std::vector<float> Gru4Rec::ScoreFromState(SessionState& state) {
-  auto* s = dynamic_cast<State*>(&state);
-  CAUSER_CHECK(s != nullptr);
   tensor::NoGradGuard guard;
   // ScoreAll returns zeros for an empty history without running the
   // backbone; match it exactly.
-  if (s->window.empty()) return std::vector<float>(config_.num_items, 0.0f);
+  if (state.window.empty()) return std::vector<float>(config_.num_items, 0.0f);
   tensor::ArenaScope arena_scope;
-  Tensor rep = RepFromState(*s);
+  Tensor rep = RepFromState(state);
   Tensor logits = tensor::MatMul(out_items_->weight(), tensor::Transpose(rep));
   std::vector<float> out(config_.num_items);
   for (int i = 0; i < config_.num_items; ++i) out[i] = logits.At(i, 0);
@@ -112,12 +78,10 @@ std::vector<float> Gru4Rec::ScoreFromState(SessionState& state) {
 }
 
 bool Gru4Rec::StateRep(SessionState& state, float* out) {
-  auto* s = dynamic_cast<State*>(&state);
-  CAUSER_CHECK(s != nullptr);
-  if (s->window.empty()) return false;  // ScoreAll's all-zeros special case
+  if (state.window.empty()) return false;  // ScoreAll's all-zeros special case
   tensor::NoGradGuard guard;
   tensor::ArenaScope arena_scope;
-  Tensor rep = RepFromState(*s);
+  Tensor rep = RepFromState(state);
   for (int j = 0; j < rep.cols(); ++j) out[j] = rep.At(0, j);
   return true;
 }

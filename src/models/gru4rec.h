@@ -18,11 +18,11 @@ class Gru4Rec : public RepresentationModel {
   std::string name() const override { return "GRU4Rec"; }
 
   // Incremental serving (docs/PERFORMANCE.md): the session caches the GRU
-  // hidden state, so appending an interaction is one cell step instead of a
-  // full backbone replay, and ScoreFromState stays bit-identical to
+  // hidden state over its window, so scoring after an append costs one
+  // cell step per new step instead of a full backbone replay (a slid
+  // window re-folds all of it), and ScoreFromState stays bit-identical to
   // ScoreAll over the appended history.
   std::unique_ptr<SessionState> NewSessionState(int user) override;
-  void AdvanceState(SessionState& state, const data::Step& step) override;
   std::vector<float> ScoreFromState(SessionState& state) override;
   bool StateRep(SessionState& state, float* out) override;
   const nn::Tensor* OutputItemTable() const override;
@@ -37,11 +37,10 @@ class Gru4Rec : public RepresentationModel {
 
  private:
   class State;
-  /// Replays the window into the cached hidden state after a window slide
-  /// (the one O(max_history) step of an otherwise O(1) session).
-  void RebuildIfDirty(State& state);
-  /// The state's current [1, embedding_dim] scoring representation.
-  nn::Tensor RepFromState(State& state);
+  /// Folds the window steps the state's hidden state has not consumed yet
+  /// (all of them after a slide) and returns its [1, embedding_dim]
+  /// scoring representation.
+  nn::Tensor RepFromState(SessionState& state);
 };
 
 }  // namespace causer::models

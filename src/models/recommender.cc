@@ -84,43 +84,23 @@ std::vector<data::Step> SequentialRecommender::Truncate(
   return std::vector<data::Step>(history.end() - cap, history.end());
 }
 
-namespace {
-
-/// Fallback session state: the (truncated) history window itself. Scoring
-/// replays ScoreAll, which is bit-identical to it by construction — models
-/// without an incremental override still satisfy the serving contract,
-/// just without the O(1) advance.
-class ReplaySessionState : public SessionState {
- public:
-  int user = 0;
-  std::vector<data::Step> window;
-};
-
-}  // namespace
-
 std::unique_ptr<SessionState> SequentialRecommender::NewSessionState(
     int user) {
-  auto state = std::make_unique<ReplaySessionState>();
-  state->user = user;
-  return state;
+  return std::make_unique<SessionState>(user);
 }
 
 void SequentialRecommender::AdvanceState(SessionState& state,
-                                         const data::Step& step) {
-  auto* s = dynamic_cast<ReplaySessionState*>(&state);
-  CAUSER_CHECK(s != nullptr);
-  s->window.push_back(step);
-  // Only the most recent max_history steps can influence ScoreAll (it
-  // truncates), so the window is bounded regardless of session length.
-  if (static_cast<int>(s->window.size()) > config_.max_history) {
-    s->window.erase(s->window.begin());
+                                         const data::Step& step) const {
+  state.window.push_back(step);
+  if (static_cast<int>(state.window.size()) > config_.max_history) {
+    // A step left the window, so any cached encoding still carries it.
+    state.window.erase(state.window.begin());
+    state.folded = 0;
   }
 }
 
 std::vector<float> SequentialRecommender::ScoreFromState(SessionState& state) {
-  auto* s = dynamic_cast<ReplaySessionState*>(&state);
-  CAUSER_CHECK(s != nullptr);
-  return ScoreAll(s->user, s->window);
+  return ScoreAll(state.user, state.window);
 }
 
 bool SequentialRecommender::StateRep(SessionState& /*state*/,

@@ -77,17 +77,27 @@ struct ModelConfig {
   const std::vector<std::vector<float>>* item_features = nullptr;
 };
 
-/// Opaque per-user incremental inference state for online serving (see
-/// docs/PERFORMANCE.md, "Online serving"). Created by NewSessionState,
-/// advanced one interaction at a time by AdvanceState, scored against the
-/// full catalog by ScoreFromState; serve::SessionStore keeps one per active
-/// user. A state is only valid with the model that created it, but it must
-/// stay destructible after that model is gone: it holds plain data only
-/// (no pointer or reference into the model), because the session store
-/// keeps a stale state cached after a hot reload has freed its model.
+/// Per-user incremental inference state for online serving (see
+/// docs/PERFORMANCE.md, "Online serving"): the user's history window plus
+/// whatever encoding of it a model caches. Created by NewSessionState,
+/// appended to by AdvanceState, scored against the full catalog by
+/// ScoreFromState/StateRep; serve::SessionStore keeps one per active user.
+/// A state is only valid with the model that created it, but it must stay
+/// destructible after that model is gone: it holds plain data only (no
+/// pointer or reference into the model), because the session store keeps
+/// a stale state cached after a hot reload has freed its model.
 class SessionState {
  public:
+  explicit SessionState(int user) : user(user) {}
   virtual ~SessionState() = default;
+
+  int user;
+  /// The last <= max_history appended steps: all of the history ScoreAll
+  /// can see (it truncates).
+  std::vector<data::Step> window;
+  /// Leading window steps already folded into the model's cache. Scoring
+  /// folds window[folded..] first; 0 after a slide means a full re-fold.
+  size_t folded = 0;
 };
 
 /// Interface of every recommender in the comparison suite (Table IV).
@@ -138,18 +148,18 @@ class SequentialRecommender : public nn::Module {
   // The contract for every override: after any sequence of AdvanceState
   // calls appending steps h_0..h_{T-1}, ScoreFromState returns bit-identical
   // floats to ScoreAll(user, {h_0..h_{T-1}}) at every thread count. The base
-  // implementation trivially satisfies it by keeping the (truncated) history
-  // window and replaying ScoreAll; models override with O(1) recurrent-cell
-  // advances (Gru4Rec, CauserModel).
+  // implementation trivially satisfies it by replaying ScoreAll over the
+  // window; Gru4Rec and CauserModel cache the window's recurrent encoding
+  // and fold only the steps appended since the last score.
 
   /// Creates an empty incremental state for `user`.
   virtual std::unique_ptr<SessionState> NewSessionState(int user);
 
-  /// Appends one interaction to the state. O(1) in the history length for
-  /// the incremental overrides while the appended history fits in
-  /// config_.max_history; past that the window slides and the next score
-  /// performs one bounded O(max_history) rebuild.
-  virtual void AdvanceState(SessionState& state, const data::Step& step);
+  /// Appends one interaction to the state's window. No model work: the
+  /// model folds the new steps into its cache on the next score. When the
+  /// window slides past config_.max_history, the cache is reset and that
+  /// score re-folds the whole (bounded) window.
+  void AdvanceState(SessionState& state, const data::Step& step) const;
 
   /// Scores every item from the cached state (same output as ScoreAll on
   /// the state's appended history).

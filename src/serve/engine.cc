@@ -244,12 +244,13 @@ std::vector<Response> ServingEngine::ProcessBatch(
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
 
-  // Phase 1 — advance sessions in arrival order. Duplicate users in one
-  // batch fold into a single session: each append lands in order and every
-  // duplicate scores the final state (exactly what sequential per-request
-  // handling would produce). The handles pin every acquired session for
-  // the whole batch, so a later Acquire's LRU eviction cannot free a state
-  // Phase 2 still reads.
+  // Phase 1 — append to session windows in arrival order; the models
+  // encode the new steps in Phase 2. Duplicate users in one batch fold
+  // into a single session: each append lands in order and every duplicate
+  // scores the final state (exactly what sequential per-request handling
+  // would produce). The handles pin every acquired session for the whole
+  // batch, so a later Acquire's LRU eviction cannot free a state Phase 2
+  // still reads.
   std::vector<SessionStore::Handle> states(batch.size());
   std::vector<int> uniques;           // batch index of each unique user
   std::unordered_map<int, int> seen;  // user -> position in `uniques`

@@ -56,8 +56,9 @@ struct Request {
   /// Interaction to append to the session before scoring; null = score the
   /// session as it stands.
   const data::Step* append = nullptr;
-  /// Prior history replayed if the user has no cached session (first sight
-  /// or post-eviction); null = start from an empty history.
+  /// Prior history that seeds the session's window if the user has no
+  /// cached session (first sight or post-eviction); null = start from an
+  /// empty history.
   const std::vector<data::Step>* bootstrap = nullptr;
 };
 
@@ -80,24 +81,25 @@ struct Response {
   uint64_t model_version = 0;
 };
 
-/// Online inference engine: a session store for O(1) incremental advances
-/// plus one batch scorer. ScoreBatch advances every request's session and
-/// scores the batch with one batched GEMM + fused top-k pass
-/// (kernels::MatMulTopK) when the model exposes the single-inner-product
-/// form (StateRep/OutputItemTable), falling back to per-request
-/// ScoreFromState otherwise (Causer's grouped scoring). The engine has no
-/// queue and starts no thread: its callers form the batches (the server's
-/// workers pop up to batch_max queued requests each), and one mutex runs
-/// their batches one at a time. See docs/ARCHITECTURE.md for the request
-/// data flow.
+/// Online inference engine: a session store of per-user windows and their
+/// cached encodings, plus one batch scorer. ScoreBatch appends every
+/// request's step to its session's window, then scores the batch, each
+/// model first folding the steps its cache has not seen. The scoring is
+/// one batched GEMM + fused top-k pass (kernels::MatMulTopK) when the
+/// model exposes the single-inner-product form (StateRep/OutputItemTable),
+/// falling back to per-request ScoreFromState otherwise (Causer's grouped
+/// scoring). The engine has no queue and starts no thread: its callers
+/// form the batches (the server's workers pop up to batch_max queued
+/// requests each), and one mutex runs their batches one at a time. See
+/// docs/ARCHITECTURE.md for the request data flow.
 ///
 /// The model is hot-swappable: Reload() publishes a new version through an
 /// atomic shared_ptr (epoch swap). Each batch pins the version live when
 /// it starts and scores with it to completion, so a reload never blocks
 /// the score path and an in-flight batch never sees weights change under
-/// it; session states built by older versions are lazily rebuilt from
-/// their request's bootstrap on next touch (docs/ROBUSTNESS.md, "Serving
-/// fault tolerance").
+/// it; session states built by older versions are replaced by fresh ones
+/// seeded from their request's bootstrap on next touch (docs/ROBUSTNESS.md,
+/// "Serving fault tolerance").
 class ServingEngine {
  public:
   ServingEngine(std::shared_ptr<models::SequentialRecommender> model,
@@ -118,11 +120,11 @@ class ServingEngine {
   /// Idempotent.
   void Stop();
 
-  /// Advances each request's session in order, then scores the batch
-  /// against one pinned model version. Requests for the same user fold
-  /// into one session: each append lands in order and every duplicate
-  /// scores the final state. Thread-safe and blocking; concurrent calls
-  /// run one at a time.
+  /// Appends each request's step to its session's window in order, then
+  /// scores the batch against one pinned model version. Requests for the
+  /// same user fold into one session: each append lands in order and every
+  /// duplicate scores the final state. Thread-safe and blocking;
+  /// concurrent calls run one at a time.
   std::vector<Response> ScoreBatch(const std::vector<Request>& requests);
 
   /// Hot-swaps the served model: rebuilds the int8 quantized item table

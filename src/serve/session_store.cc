@@ -19,7 +19,7 @@ ServeMetricsT& ServeMetrics() {
                           "incremental session state."),
       metrics::GetCounter("serve.session_misses_total", "misses",
                           "Requests that created a session state (first "
-                          "sight or post-eviction bootstrap replay)."),
+                          "sight or post-eviction bootstrap)."),
       metrics::GetCounter("serve.session_evictions_total", "evictions",
                           "Sessions evicted by the store's LRU cap."),
       metrics::GetGauge("serve.sessions", "sessions",
@@ -32,12 +32,15 @@ ServeMetricsT& ServeMetrics() {
                             "for the batch lock included.",
                             metrics::ExponentialBuckets(1e-6, 10.0, 8)),
       metrics::GetHistogram("serve.advance_seconds", "seconds",
-                            "Wall time of a batch's session-advance phase.",
+                            "Wall time of a batch's session-advance phase "
+                            "(store lookups and window appends; the models "
+                            "encode in the scoring phase).",
                             metrics::ExponentialBuckets(1e-6, 10.0, 8)),
       metrics::GetHistogram("serve.score_seconds", "seconds",
                             "Wall time of a batch's catalog-scoring phase "
-                            "(batched GEMM + fused top-k, or per-request "
-                            "fallback).",
+                            "(folding new window steps into the model "
+                            "cache, then batched GEMM + fused top-k, or "
+                            "per-request fallback).",
                             metrics::ExponentialBuckets(1e-6, 10.0, 8)),
       metrics::GetCounter("serve.quant.batches_total", "batches",
                           "Batches scored through the int8 quantized "
@@ -72,7 +75,7 @@ ServeMetricsT& ServeMetrics() {
       metrics::GetCounter("serve.reload.stale_rebuilds_total", "sessions",
                           "Cached session states discarded on touch because "
                           "they were built by an older model version, then "
-                          "rebuilt by bootstrap replay."),
+                          "rebuilt from the request's bootstrap."),
       metrics::GetHistogram("serve.shard.batch_seconds", "seconds",
                             "Wall time of one catalog shard's fused "
                             "GEMM + top-k task within a sharded scoring "
@@ -147,7 +150,7 @@ SessionStore::Handle SessionStore::Acquire(
     }
     // Stale: built by a different model version. Never advance or serve it
     // — drop the entry and fall through to the miss path, which rebuilds
-    // from the bootstrap replay under the current model. Any handle still
+    // it from the bootstrap under the current model. Any handle still
     // pinning the old state keeps it alive, and that handle's batch pins
     // the ServedModel it started on, so the state is never used without
     // its weights.
@@ -161,16 +164,17 @@ SessionStore::Handle SessionStore::Acquire(
   entry.version = version;
   entry.user = user;
   if (bootstrap != nullptr) {
-    // Replay the prior history into the fresh state. Only the most recent
-    // max_history steps can influence scoring (ScoreAll truncates), so the
-    // replay starts at that suffix: O(max_history) however long the
-    // history is.
+    // Seed the window with the prior history. Only the most recent
+    // max_history steps can influence scoring (ScoreAll truncates), so
+    // the copy is O(max_history) however long the history is; the model
+    // encodes them on the first score.
     const size_t cap = static_cast<size_t>(model->config().max_history);
     const size_t start =
         bootstrap->size() > cap ? bootstrap->size() - cap : 0;
-    for (size_t i = start; i < bootstrap->size(); ++i) {
-      model->AdvanceState(*entry.state, (*bootstrap)[i]);
-    }
+    // One slot more than the suffix: the request's append lands before
+    // the oldest step leaves, and must not double the capacity.
+    entry.state->window.reserve(bootstrap->size() - start + 1);
+    entry.state->window.assign(bootstrap->begin() + start, bootstrap->end());
   }
   auto [pos, inserted] = sessions_.emplace(user, std::move(entry));
   CAUSER_CHECK(inserted);

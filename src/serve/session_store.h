@@ -43,13 +43,15 @@ struct ServeMetricsT {
 ServeMetricsT& ServeMetrics();
 
 /// Per-user cache of incremental inference states (models::SessionState):
-/// a hit turns scoring an event into an O(1) state advance instead of an
-/// O(T) history replay. Bounded by `max_sessions` with least-recently-used
-/// eviction; an evicted user is rebuilt from the request's bootstrap
-/// history on its next appearance, so eviction only costs time, never
-/// correctness. Entries are version-stamped with the model version that
-/// built them: a hot reload bumps the engine's version, and a stale entry
-/// is lazily rebuilt by bootstrap replay on its next touch — a state is
+/// a hit keeps the user's window and the model's encoding of it, so a
+/// score only folds the steps appended since the last one (the whole
+/// bounded window once it slides) instead of replaying the request's
+/// history. Bounded by `max_sessions` with least-recently-used eviction;
+/// an evicted user is rebuilt from the request's bootstrap history on its
+/// next appearance, so eviction only costs time, never correctness.
+/// Entries are version-stamped with the model version that built them: a
+/// hot reload bumps the engine's version, and a stale entry is replaced by
+/// a fresh one seeded from the bootstrap on its next touch — a state is
 /// never advanced or scored by a model other than the one that created it.
 /// An entry keeps only that stamp, never the model: a stale entry that is
 /// not touched again does not pin its retired version, which is freed when
@@ -74,11 +76,12 @@ class SessionStore {
   explicit SessionStore(int max_sessions);
 
   /// Returns the session for `user` under `model`/`version`, creating it
-  /// on miss — replaying `bootstrap` (may be null = start empty) into the
-  /// fresh state. A cached entry stamped with a different version is
+  /// on miss with its window seeded from the last max_history steps of
+  /// `bootstrap` (may be null = start empty); the model encodes them on
+  /// the first score. A cached entry stamped with a different version is
   /// treated as a miss and rebuilt from `bootstrap` with the given model
   /// (SessionStates are only valid with the model that created them).
-  /// `model` only creates and replays the state; the store keeps no
+  /// `model` only creates the state; the store keeps no
   /// reference to it, so the caller keeps `model` alive while it uses the
   /// handle (an engine batch pins its ServedModel for exactly that). The
   /// handle keeps the state alive across evictions; drop it when the

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 
 #include "common/log.h"
 #include "common/metrics.h"
@@ -79,6 +82,23 @@ Arena::~Arena() {
     CAUSER_ARENA_UNPOISON(b.data, b.size);
     ::operator delete(b.data, std::align_val_t{kAlignment});
   }
+}
+
+void* AlignedHeapAllocate(size_t bytes) {
+  void* raw = std::malloc(bytes + Arena::kAlignment);
+  if (raw == nullptr) throw std::bad_alloc();
+  // malloc aligns to at least sizeof(void*), so rounding up from one word
+  // past `raw` stays inside the kAlignment bytes of slack.
+  const uintptr_t aligned =
+      (reinterpret_cast<uintptr_t>(raw) + sizeof(void*) + Arena::kAlignment -
+       1) &
+      ~uintptr_t{Arena::kAlignment - 1};
+  reinterpret_cast<void**>(aligned)[-1] = raw;
+  return reinterpret_cast<void*>(aligned);
+}
+
+void AlignedHeapFree(void* p) noexcept {
+  if (p != nullptr) std::free(static_cast<void**>(p)[-1]);
 }
 
 void Arena::AddBlock(size_t min_bytes) {

@@ -106,6 +106,16 @@ class ArenaScope {
   Arena* arena_ = nullptr;  // the arena this scope activated, or null
 };
 
+/// Arena::kAlignment-aligned heap storage, carved from one plain malloc of
+/// `bytes + kAlignment` (the malloc pointer sits in the word before the
+/// returned one). glibc's aligned allocation asks for more than it keeps,
+/// so the hole a freed buffer leaves is too small for the next aligned
+/// buffer of the same size, and a reloaded item table would grow the heap
+/// instead of reusing it; a hole left by this function fits. Release with
+/// AlignedHeapFree.
+void* AlignedHeapAllocate(size_t bytes);
+void AlignedHeapFree(void* p) noexcept;
+
 /// Standard-library allocator that carves from the arena captured at
 /// construction time, falling back to the global heap when none was active.
 /// Capturing at construction (not at allocate()) is what pins a container
@@ -135,13 +145,10 @@ class ArenaAllocator {
     if (arena_ != nullptr) {
       return static_cast<T*>(arena_->Allocate(n * sizeof(T)));
     }
-    return static_cast<T*>(
-        ::operator new(n * sizeof(T), std::align_val_t{Arena::kAlignment}));
+    return static_cast<T*>(AlignedHeapAllocate(n * sizeof(T)));
   }
   void deallocate(T* p, size_t) noexcept {
-    if (arena_ == nullptr) {
-      ::operator delete(p, std::align_val_t{Arena::kAlignment});
-    }
+    if (arena_ == nullptr) AlignedHeapFree(p);
     // Arena memory is reclaimed wholesale by Arena::Reset().
   }
 

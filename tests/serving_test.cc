@@ -81,7 +81,7 @@ void ExpectIncrementalMatchesReplay(models::SequentialRecommender& model,
 }
 
 /// A deterministic synthetic history longer than max_history (12), so the
-/// session window slides and the lazy rebuild path runs.
+/// session window slides and every score re-folds the whole window.
 std::vector<data::Step> LongHistory(int user, int num_items, int length) {
   std::vector<data::Step> history(length);
   for (int t = 0; t < length; ++t) {
@@ -94,7 +94,7 @@ std::vector<data::Step> LongHistory(int user, int num_items, int length) {
 /// LongHistory with a step wider than 64 items and an empty step. The wide
 /// step repeats one item 64 times before 8 distinct ones, so the filter
 /// splits its candidates only on items past the 64th. Both steps are split
-/// incrementally, replayed by rebuilds once the window slides, then slide
+/// incrementally, re-folded with the window once it slides, then slide
 /// out.
 std::vector<data::Step> IrregularHistory(int user, int num_items,
                                          int length) {
@@ -485,7 +485,7 @@ TEST(ServingQuantTest, Int8ScoresAreFp32ExactEvenWithMinimalRerank) {
 
 /// The int8 engine's answer for `request`, rebuilt without the engine: the
 /// state its store builds (the bootstrap's most recent max_history steps
-/// replayed into a fresh session), the kernel's rerank_k candidates for
+/// in a fresh session's window), the kernel's rerank_k candidates for
 /// it, one ops.dot per candidate, a full sort, and the first top_k.
 std::vector<tensor::kernels::TopKEntry> ReferenceRerank(
     models::Gru4Rec& model, const Request& request, int rerank_k,
