@@ -1,7 +1,7 @@
 // Kernel & memory engine benchmark: packed matmul microkernels, heap TopK
-// selection, and the autograd arena allocator.
+// selection, fused and sharded top-k, and the autograd arena allocator.
 //
-// Three sections, all single-process:
+// Six sections, all single-process:
 //   (1) GEMM: naive reference kernel vs. the packed/blocked production
 //       kernel on every compiled+supported ISA tier (scalar / avx2 /
 //       avx512, pinned per measurement via cpu::SetIsaOverride; single
@@ -14,22 +14,36 @@
 //       below unfused), and the int8 MatMulTopKQ per ISA tier with a
 //       cross-tier determinism check;
 //   (4) int8 serving stages at the serving int8 shape (n=1 against a
-//       20000x64 table, rerank_k 2048, k=10, S in {1, 2}): per-call
-//       p10/median/p90 of the candidate pass, the shard merge and the
-//       fp32 re-rank, each checked bit for bit against a sorted full-score
-//       reference (only the check gates the smoke run);
-//   (5) end-to-end: GRU4Rec TrainEpoch steps/sec with the arena enabled vs.
+//       20000x64 table, rerank_k 2048, k=10, S in {1, 2}): the candidate
+//       pass, the shard merge and the fp32 re-rank, each checked bit for
+//       bit against a sorted full-score reference (only the check gates
+//       the smoke run);
+//   (5) sharded scoring: one request (n=1, d=64, k=10) against a 65536-
+//       (smoke) or 1M-item catalog through MatMulTopKSharded at S in
+//       {2, 4, 8, 16} and threads in {1, min(8, cores)}, against the
+//       unsharded kernel on one thread. The unsharded kernel cannot split
+//       a single row, so shard fan-out is the only way this shape scales.
+//       Gate (smoke 1.5x, full 3x): some S at min(8, cores) threads beats
+//       the unsharded single thread by it, enforced only on hosts with
+//       >= 2 hardware threads (`gate_enforced` in the report). The
+//       bit-identity of every sharded point is tests/sharding_test.cc's;
+//   (6) end-to-end: GRU4Rec TrainEpoch steps/sec with the arena enabled vs.
 //       disabled, asserting bit-identical epoch losses either way.
+//
+// Every stage is timed by bench::TimeCalls (one warm-up call, then N
+// timed calls) and reported as median [p10, p90]; every gate compares
+// medians.
 //
 // Writes a BENCH_kernels.json report (path = argv[last], default
 // ./BENCH_kernels.json) including the resolved ISA selection and the
-// per-tier GFLOP/s rows the docs/KERNELS.md table is refreshed from.
+// per-tier GFLOP/s rows (at the median call) the docs/KERNELS.md table is
+// refreshed from.
 //
-// `--smoke` shrinks the timed work for CI and turns three checks into the
-// exit code: packed must not be slower than naive on the large transpose-B
-// shape, the avx2 tier must beat scalar by kSimdGateMinSpeedup on the
-// same shape (skipped with a notice when the runner lacks AVX2), and the
-// fused fp32 MatMulTopK must not regress below the unfused
+// `--smoke` shrinks the timed work for CI and turns three more checks into
+// the exit code: packed must not be slower than naive on the large
+// transpose-B shape, the avx2 tier must beat scalar by kSimdGateMinSpeedup
+// on the same shape (skipped with a notice when the runner lacks AVX2),
+// and the fused fp32 MatMulTopK must not regress below the unfused
 // materialize-then-TopK path on the serving shape.
 
 #include <algorithm>
@@ -38,6 +52,7 @@
 #include <cstring>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -85,13 +100,15 @@ constexpr double kSimdGateMinSpeedup = 1.5;
 /// MatMulAdd with that tier pinned via cpu::SetIsaOverride.
 struct IsaGemm {
   std::string isa;
-  double gflops = 0.0;
+  bench::Timing us;  // per kernel call
+  double gflops = 0.0;  // at the median call
   double speedup_vs_naive = 0.0;
   bool bit_identical = true;
 };
 
 struct GemmResult {
   std::string label;
+  bench::Timing naive_us;
   double naive_gflops = 0.0;
   std::vector<IsaGemm> variants;  // every compiled+supported tier
   double packed_gflops = 0.0;     // the auto-selected (strongest) tier
@@ -105,24 +122,6 @@ std::vector<float> RandomBuffer(size_t size, Rng& rng) {
   return out;
 }
 
-// Best-of-`repeats` GFLOP/s for one kernel entry point on one shape.
-template <typename KernelFn>
-double MeasureGflops(KernelFn&& kernel, const std::vector<float>& a,
-                     const std::vector<float>& b, std::vector<float>& c,
-                     const GemmShape& s, int iters, int repeats) {
-  double best_seconds = 1e30;
-  for (int r = 0; r < repeats; ++r) {
-    std::fill(c.begin(), c.end(), 0.0f);
-    Stopwatch sw;
-    for (int i = 0; i < iters; ++i)
-      kernel(a.data(), b.data(), c.data(), s.n, s.m, s.p, s.ta, s.tb);
-    best_seconds = std::min(best_seconds, sw.ElapsedSeconds());
-  }
-  const double flops =
-      2.0 * s.n * s.m * s.p * static_cast<double>(iters);
-  return flops / best_seconds / 1e9;
-}
-
 GemmResult RunGemmShape(const GemmShape& s, bool smoke) {
   Rng rng(42);
   auto a = RandomBuffer(static_cast<size_t>(s.n) * s.m, rng);
@@ -132,20 +131,28 @@ GemmResult RunGemmShape(const GemmShape& s, bool smoke) {
 
   tensor::kernels::MatMulAddNaive(a.data(), b.data(), c_naive.data(), s.n,
                                   s.m, s.p, s.ta, s.tb);
-  // Timed loops clobber c_naive below; keep the single-call result as the
-  // reference for the per-tier bitwise checks.
+  // Timed loops accumulate into c_naive below; keep the single-call result
+  // as the reference for the per-tier bitwise checks.
   const std::vector<float> c_ref = c_naive;
   GemmResult result;
   result.label = s.label;
 
-  // Size the timed loop to a roughly constant op budget per shape.
-  const double target_ops = smoke ? 4e7 : 4e8;
+  // Each timed sample runs a roughly constant op budget per shape, so the
+  // small shapes are not timed one microsecond call at a time. The full
+  // run takes enough samples for ten to lie beyond each percentile.
   const double ops = 2.0 * s.n * s.m * s.p;
-  const int iters = std::max(1, static_cast<int>(target_ops / ops));
-  const int repeats = smoke ? 3 : 5;
-  result.naive_gflops =
-      MeasureGflops(tensor::kernels::MatMulAddNaive, a, b, c_naive, s, iters,
-                    repeats);
+  const int iters = std::max(1, static_cast<int>((smoke ? 1e7 : 2e7) / ops));
+  const int samples = smoke ? 15 : 101;
+  auto time_kernel = [&](auto kernel, std::vector<float>& c) {
+    return bench::TimeCalls(
+        [&] {
+          for (int i = 0; i < iters; ++i)
+            kernel(a.data(), b.data(), c.data(), s.n, s.m, s.p, s.ta, s.tb);
+        },
+        samples, iters);
+  };
+  result.naive_us = time_kernel(tensor::kernels::MatMulAddNaive, c_naive);
+  result.naive_gflops = ops / result.naive_us.median / 1e3;
 
   // Every runnable tier through the production kernel: correctness first
   // (one accumulating call compared bitwise against naive), then timing.
@@ -159,8 +166,8 @@ GemmResult RunGemmShape(const GemmShape& s, bool smoke) {
                                s.p, s.ta, s.tb);
     v.bit_identical = std::memcmp(c_ref.data(), c_packed.data(),
                                   c_ref.size() * sizeof(float)) == 0;
-    v.gflops = MeasureGflops(tensor::kernels::MatMulAdd, a, b, c_packed, s,
-                             iters, repeats);
+    v.us = time_kernel(tensor::kernels::MatMulAdd, c_packed);
+    v.gflops = ops / v.us.median / 1e3;
     v.speedup_vs_naive = v.gflops / result.naive_gflops;
     result.variants.push_back(std::move(v));
   }
@@ -168,7 +175,6 @@ GemmResult RunGemmShape(const GemmShape& s, bool smoke) {
 
   // The strongest tier is what auto-dispatch selects; keep it as the
   // headline packed number so the naive-vs-packed gate stays meaningful.
-  result.bit_identical = true;
   for (const IsaGemm& v : result.variants) {
     result.bit_identical = result.bit_identical && v.bit_identical;
   }
@@ -194,8 +200,7 @@ double VariantGflops(const GemmResult& r, const char* isa) {
 struct TopKResult {
   int catalog = 0;
   int k = 0;
-  double heap_us = 0.0;
-  double sort_us = 0.0;
+  bench::Timing heap, sort;  // per call
   double speedup = 0.0;
   bool identical = true;
 };
@@ -222,26 +227,23 @@ TopKResult RunTopK(int catalog, int k, bool smoke) {
   result.k = k;
   result.identical = eval::TopK(scores, k) == TopKFullSort(scores, k);
 
-  const int iters = (smoke ? 50 : 500) * (catalog <= 1000 ? 10 : 1);
-  const int repeats = smoke ? 3 : 5;
-  double best_heap = 1e30, best_sort = 1e30;
-  // The selections feed a volatile-style sink so the loops cannot be
-  // hoisted; accumulate the first index instead of discarding results.
+  // The selections feed a sink so the calls cannot be hoisted; accumulate
+  // the first index instead of discarding results.
+  const int iters = (smoke ? 10 : 25) * (catalog <= 1000 ? 10 : 1);
+  const int samples = smoke ? 15 : 101;
   long long sink = 0;
-  for (int r = 0; r < repeats; ++r) {
-    Stopwatch sw;
-    for (int i = 0; i < iters; ++i) sink += eval::TopK(scores, k)[0];
-    best_heap = std::min(best_heap, sw.ElapsedSeconds());
-  }
-  for (int r = 0; r < repeats; ++r) {
-    Stopwatch sw;
-    for (int i = 0; i < iters; ++i) sink += TopKFullSort(scores, k)[0];
-    best_sort = std::min(best_sort, sw.ElapsedSeconds());
-  }
+  result.heap = bench::TimeCalls(
+      [&] {
+        for (int i = 0; i < iters; ++i) sink += eval::TopK(scores, k)[0];
+      },
+      samples, iters);
+  result.sort = bench::TimeCalls(
+      [&] {
+        for (int i = 0; i < iters; ++i) sink += TopKFullSort(scores, k)[0];
+      },
+      samples, iters);
   if (sink == -1) std::printf("unreachable\n");
-  result.heap_us = best_heap / iters * 1e6;
-  result.sort_us = best_sort / iters * 1e6;
-  result.speedup = result.sort_us / result.heap_us;
+  result.speedup = result.sort.median / result.heap.median;
   return result;
 }
 
@@ -251,14 +253,6 @@ TopKResult RunTopK(int catalog, int k, bool smoke) {
 
 constexpr int kStageN = 1, kStageM = 64, kStageP = 20000, kStageKq = 2048,
               kStageK = 10;
-
-/// p10/median/p90 of `samples` calls of `fn` after one warm-up call
-/// (scratch allocations, caches).
-template <typename Fn>
-bench::Timing TimeStage(Fn&& fn, int samples) {
-  fn();
-  return bench::TimeCalls(fn, samples);
-}
 
 bool SameEntries(const std::vector<tensor::kernels::TopKEntry>& x,
                  const std::vector<tensor::kernels::TopKEntry>& y) {
@@ -328,7 +322,7 @@ std::vector<StageResult> RunInt8Stages(bool smoke) {
           qa.data.data(), qa.scales.data(), qb.data.data(), qb.scales.data(),
           kStageN, kStageM, kStageP, kStageKq, S, cands.data());
     };
-    r.candidates = TimeStage(candidate_pass, samples);
+    r.candidates = bench::TimeCalls(candidate_pass, samples);
     r.exact = r.exact && SameEntries(cands, ref_cands);
     if (S > 1) {
       // Per-shard selections in the [S, n, k] layout, indices global.
@@ -345,7 +339,7 @@ std::vector<StageResult> RunInt8Stages(bool smoke) {
         }
       }
       std::vector<TopKEntry> merged(kStageKq);
-      r.merge = TimeStage(
+      r.merge = bench::TimeCalls(
           [&] {
             tensor::kernels::MergeTopK(runs.data(), S, kStageN, kStageKq,
                                        merged.data());
@@ -354,7 +348,7 @@ std::vector<StageResult> RunInt8Stages(bool smoke) {
       r.exact = r.exact && SameEntries(merged, ref_cands);
     }
     std::vector<TopKEntry> best(kStageK);
-    r.rerank = TimeStage(
+    r.rerank = bench::TimeCalls(
         [&] {
           tensor::kernels::RerankTopK(a.data(), b.data(), kStageM,
                                       cands.data(), kStageKq, kStageK,
@@ -368,7 +362,72 @@ std::vector<StageResult> RunInt8Stages(bool smoke) {
 }
 
 // ---------------------------------------------------------------------------
-// Section 3: end-to-end training with/without the arena
+// Sharded scoring: one request against a large catalog, S shards fanned out
+// over the pool.
+
+constexpr int kShardDim = 64, kShardTopK = 10;  // n = 1, the request shape
+
+struct ShardPoint {
+  int shards = 0;
+  int threads = 0;
+  bench::Timing us;  // per call
+  double speedup = 0.0;  // unsharded 1-thread median / this median
+};
+
+struct ShardSweep {
+  int catalog = 0;
+  int top_threads = 1;  // min(8, hardware threads): the gated points
+  bench::Timing unsharded;  // per call, one thread
+  std::vector<ShardPoint> points;
+  double best_speedup = 0.0;  // over S, at top_threads
+};
+
+ShardSweep RunShardSweep(bool smoke, int hardware) {
+  ShardSweep sweep;
+  sweep.catalog = smoke ? 65536 : 1000000;
+  sweep.top_threads = std::min(8, hardware);
+  Rng rng(20260818);
+  const auto table =
+      RandomBuffer(static_cast<size_t>(sweep.catalog) * kShardDim, rng);
+  const auto query = RandomBuffer(kShardDim, rng);
+  std::vector<tensor::kernels::TopKEntry> out(kShardTopK);
+  // Enough calls for ten to lie beyond each reported percentile.
+  const int samples = 100;
+  SetDefaultThreads(1);
+  sweep.unsharded = bench::TimeCalls(
+      [&] {
+        tensor::kernels::MatMulTopK(query.data(), table.data(), 1, kShardDim,
+                                    sweep.catalog, kShardTopK, out.data());
+      },
+      samples);
+  std::vector<int> thread_counts = {1};
+  if (sweep.top_threads > 1) thread_counts.push_back(sweep.top_threads);
+  for (int threads : thread_counts) {
+    SetDefaultThreads(threads);
+    for (int shards : {2, 4, 8, 16}) {
+      ShardPoint point;
+      point.shards = shards;
+      point.threads = threads;
+      point.us = bench::TimeCalls(
+          [&] {
+            tensor::kernels::MatMulTopKSharded(
+                query.data(), table.data(), 1, kShardDim, sweep.catalog,
+                kShardTopK, shards, out.data());
+          },
+          samples);
+      point.speedup = sweep.unsharded.median / point.us.median;
+      if (threads == sweep.top_threads) {
+        sweep.best_speedup = std::max(sweep.best_speedup, point.speedup);
+      }
+      sweep.points.push_back(point);
+    }
+  }
+  SetDefaultThreads(1);
+  return sweep;
+}
+
+// ---------------------------------------------------------------------------
+// End-to-end training with/without the arena
 
 const data::Dataset& BenchData() {
   static data::Dataset d = [] {
@@ -389,36 +448,35 @@ const data::Split& BenchSplit() {
 }
 
 struct TrainResult {
-  double steps_per_sec_arena_off = 0.0;
+  bench::Timing epoch_arena_off, epoch_arena_on;  // per epoch
+  double steps_per_sec_arena_off = 0.0;  // at the median epoch
   double steps_per_sec_arena_on = 0.0;
   double speedup = 0.0;
   bool losses_bit_identical = true;
 };
 
 TrainResult RunTraining(bool smoke) {
-  const int epochs = smoke ? 2 : 4;
+  const int epochs = smoke ? 5 : 15;
   const int steps_per_epoch =
       static_cast<int>(data::EnumerateExamples(BenchSplit().train).size());
-  // Best-of-epochs: each epoch does identical work, so the fastest one is
-  // the least-noise estimate of the steady-state step rate.
+  // Each epoch does identical work, so the median epoch is the steady-state
+  // step rate. Every epoch's loss, the warm-up's included, is compared.
   auto run = [&](bool arena_on, std::vector<double>& losses) {
     tensor::SetArenaEnabled(arena_on);
     models::Gru4Rec model(bench::BaseConfig(BenchData()));
-    model.TrainEpoch(BenchSplit().train);  // warm-up (allocations, caches)
-    losses.clear();
-    double best_seconds = 1e30;
-    for (int e = 0; e < epochs; ++e) {
-      Stopwatch sw;
-      losses.push_back(model.TrainEpoch(BenchSplit().train));
-      best_seconds = std::min(best_seconds, sw.ElapsedSeconds());
-    }
-    return steps_per_epoch / best_seconds;
+    return bench::TimeCalls(
+        [&] { losses.push_back(model.TrainEpoch(BenchSplit().train)); },
+        epochs);
   };
   TrainResult result;
   std::vector<double> losses_off, losses_on;
-  result.steps_per_sec_arena_off = run(false, losses_off);
-  result.steps_per_sec_arena_on = run(true, losses_on);
+  result.epoch_arena_off = run(false, losses_off);
+  result.epoch_arena_on = run(true, losses_on);
   tensor::SetArenaEnabled(true);
+  result.steps_per_sec_arena_off =
+      steps_per_epoch / (result.epoch_arena_off.median * 1e-6);
+  result.steps_per_sec_arena_on =
+      steps_per_epoch / (result.epoch_arena_on.median * 1e-6);
   result.speedup =
       result.steps_per_sec_arena_on / result.steps_per_sec_arena_off;
   result.losses_bit_identical = losses_on == losses_off;
@@ -439,9 +497,12 @@ int main(int argc, char** argv) {
   }
 
   bench::PrintHeader(
-      "Kernel & memory engine: packed GEMM, heap TopK, autograd arena",
+      "Kernel & memory engine: packed GEMM, heap and fused TopK, sharded "
+      "scoring, autograd arena",
       "Wang et al., ICDE 2023 (engine optimization; no paper figure)");
   SetDefaultThreads(1);  // microkernel numbers, not parallel scaling
+  const int hardware = std::max(
+      1, static_cast<int>(std::thread::hardware_concurrency()));
 
   bool ok = true;
 
@@ -456,9 +517,10 @@ int main(int argc, char** argv) {
     std::printf(" %s%s", cpu::IsaName(isa),
                 cpu::IsaSupported(isa) ? "" : "(unsupported here)");
   }
-  std::printf("\n\n");
+  std::printf("\nhardware threads: %d\n\n", hardware);
 
-  std::printf("GEMM (single thread, best-of-n, per ISA tier):\n");
+  std::printf("GEMM (single thread, GF/s at the median call, per ISA "
+              "tier):\n");
   std::printf("%-28s %12s %12s %12s %12s %9s %6s\n", "shape", "naive GF/s",
               "scalar GF/s", "avx2 GF/s", "avx512 GF/s", "speedup", "exact");
   std::vector<std::string> gemm_rows;
@@ -481,6 +543,7 @@ int main(int argc, char** argv) {
       bench::JsonObject vrow;
       vrow.Set("isa", v.isa)
           .Set("gflops", v.gflops)
+          .SetRaw("us_per_call", bench::TimingJson(v.us))
           .Set("speedup_vs_naive", v.speedup_vs_naive)
           .Set("bit_identical", v.bit_identical);
       variant_rows.push_back(vrow.Str());
@@ -488,6 +551,7 @@ int main(int argc, char** argv) {
     bench::JsonObject row;
     row.Set("shape", r.label)
         .Set("naive_gflops", r.naive_gflops)
+        .SetRaw("naive_us_per_call", bench::TimingJson(r.naive_us))
         .Set("packed_gflops", r.packed_gflops)
         .Set("speedup", r.speedup)
         .Set("bit_identical", r.bit_identical)
@@ -495,22 +559,23 @@ int main(int argc, char** argv) {
     gemm_rows.push_back(row.Str());
   }
 
-  std::printf("\nTopK (catalog argmax-k, per call):\n");
-  std::printf("%8s %4s %12s %12s %9s %6s\n", "catalog", "k", "heap us",
-              "sort us", "speedup", "exact");
+  std::printf("\nTopK (catalog argmax-k, us per call, median [p10, p90]):\n");
+  std::printf("%8s %4s %26s %26s %9s %6s\n", "catalog", "k", "heap",
+              "full sort", "speedup", "exact");
   std::vector<std::string> topk_rows;
   for (int catalog : {1000, 10000}) {
     for (int k : {5, 20}) {
       TopKResult r = RunTopK(catalog, k, smoke);
       ok = ok && r.identical;
-      std::printf("%8d %4d %12.2f %12.2f %8.2fx %6s\n", r.catalog, r.k,
-                  r.heap_us, r.sort_us, r.speedup,
+      std::printf("%8d %4d %26s %26s %8.2fx %6s\n", r.catalog, r.k,
+                  bench::Spread(r.heap).c_str(),
+                  bench::Spread(r.sort).c_str(), r.speedup,
                   r.identical ? "yes" : "NO");
       bench::JsonObject row;
       row.Set("catalog", r.catalog)
           .Set("k", r.k)
-          .Set("heap_us_per_call", r.heap_us)
-          .Set("full_sort_us_per_call", r.sort_us)
+          .SetRaw("heap_us_per_call", bench::TimingJson(r.heap))
+          .SetRaw("full_sort_us_per_call", bench::TimingJson(r.sort))
           .Set("speedup", r.speedup)
           .Set("identical_to_full_sort", r.identical);
       topk_rows.push_back(row.Str());
@@ -519,7 +584,7 @@ int main(int argc, char** argv) {
 
   // -- Fused top-k on the serving shape: fp32 vs unfused, int8 per tier ----
   constexpr int kTopKN = 32, kTopKM = 64, kTopKP = 4096, kTopKK = 10;
-  double fused_vs_unfused = 0.0;
+  bench::Timing unfused, fused_auto;
   std::vector<std::string> quant_rows;
   {
     Rng rng(11);
@@ -528,8 +593,7 @@ int main(int argc, char** argv) {
     tensor::QuantizedMatrix qa, qb;
     ok = ok && tensor::QuantizeRows(a.data(), kTopKN, kTopKM, &qa) &&
          tensor::QuantizeRows(b.data(), kTopKP, kTopKM, &qb);
-    const int iters = smoke ? 20 : 200;
-    const int repeats = smoke ? 3 : 5;
+    const int samples = smoke ? 30 : 200;
     std::vector<tensor::kernels::TopKEntry> fused(
         static_cast<size_t>(kTopKN) * kTopKK);
     std::vector<tensor::kernels::TopKEntry> quant(fused.size());
@@ -538,35 +602,30 @@ int main(int argc, char** argv) {
     // Unfused reference on the auto-selected tier: materialize the [B, V]
     // score matrix, then bounded-heap TopK per row. The fused kernel must
     // never lose to it — this is the regression assertion guarding the
-    // MatMulTopK tile loop (hoisted tile pointers and all).
+    // MatMulTopK tile loop (hoisted tile pointers and all). The two sides
+    // are timed back to back so that both medians see the same host.
     std::vector<float> score_matrix(static_cast<size_t>(kTopKN) * kTopKP);
     std::vector<float> row_scores(kTopKP);
-    double best_unfused = 1e30, best_fused_auto = 1e30;
-    for (int r = 0; r < repeats; ++r) {
-      Stopwatch sw;
-      for (int i = 0; i < iters; ++i) {
-        std::fill(score_matrix.begin(), score_matrix.end(), 0.0f);
-        tensor::kernels::MatMulAdd(a.data(), b.data(), score_matrix.data(),
-                                   kTopKN, kTopKM, kTopKP, false, true);
-        for (int row = 0; row < kTopKN; ++row) {
-          const float* src = score_matrix.data() +
-                             static_cast<size_t>(row) * kTopKP;
-          row_scores.assign(src, src + kTopKP);
-          sink += eval::TopK(row_scores, kTopKK)[0];
-        }
-      }
-      best_unfused = std::min(best_unfused, sw.ElapsedSeconds());
-    }
-    for (int r = 0; r < repeats; ++r) {
-      Stopwatch sw;
-      for (int i = 0; i < iters; ++i) {
-        tensor::kernels::MatMulTopK(a.data(), b.data(), kTopKN, kTopKM,
-                                    kTopKP, kTopKK, fused.data());
-        sink += fused[0].index;
-      }
-      best_fused_auto = std::min(best_fused_auto, sw.ElapsedSeconds());
-    }
-    fused_vs_unfused = best_unfused / best_fused_auto;
+    unfused = bench::TimeCalls(
+        [&] {
+          std::fill(score_matrix.begin(), score_matrix.end(), 0.0f);
+          tensor::kernels::MatMulAdd(a.data(), b.data(), score_matrix.data(),
+                                     kTopKN, kTopKM, kTopKP, false, true);
+          for (int row = 0; row < kTopKN; ++row) {
+            const float* src =
+                score_matrix.data() + static_cast<size_t>(row) * kTopKP;
+            row_scores.assign(src, src + kTopKP);
+            sink += eval::TopK(row_scores, kTopKK)[0];
+          }
+        },
+        samples);
+    fused_auto = bench::TimeCalls(
+        [&] {
+          tensor::kernels::MatMulTopK(a.data(), b.data(), kTopKN, kTopKM,
+                                      kTopKP, kTopKK, fused.data());
+          sink += fused[0].index;
+        },
+        samples);
 
     // Per-tier rows: fp32 fused vs int8 fused, plus the cross-tier
     // determinism check (int32 accumulation is exact, so every tier must
@@ -577,10 +636,11 @@ int main(int argc, char** argv) {
                                  qb.data.data(), qb.scales.data(), kTopKN,
                                  kTopKM, kTopKP, kTopKK, quant_scalar.data());
     std::printf(
-        "\nFused top-k (n=%d, d=%d, catalog %d, k=%d, us per call):\n",
+        "\nFused top-k (n=%d, d=%d, catalog %d, k=%d, us per call, median "
+        "[p10, p90]):\n",
         kTopKN, kTopKM, kTopKP, kTopKK);
-    std::printf("%-8s %12s %12s %9s %6s\n", "isa", "fp32 us", "int8 us",
-                "speedup", "exact");
+    std::printf("%-8s %26s %26s %9s %6s\n", "isa", "fp32", "int8", "speedup",
+                "exact");
     for (cpu::Isa isa : cpu::CompiledIsas()) {
       if (!cpu::IsaSupported(isa)) continue;
       cpu::SetIsaOverride(cpu::IsaName(isa));
@@ -595,63 +655,54 @@ int main(int argc, char** argv) {
                                  sizeof(float)) == 0;
       }
       ok = ok && tier_exact;
-      double best_fused = 1e30, best_quant = 1e30;
-      for (int r = 0; r < repeats; ++r) {
-        Stopwatch sw;
-        for (int i = 0; i < iters; ++i) {
-          tensor::kernels::MatMulTopK(a.data(), b.data(), kTopKN, kTopKM,
-                                      kTopKP, kTopKK, fused.data());
-          sink += fused[0].index;
-        }
-        best_fused = std::min(best_fused, sw.ElapsedSeconds());
-      }
-      for (int r = 0; r < repeats; ++r) {
-        Stopwatch sw;
-        for (int i = 0; i < iters; ++i) {
-          tensor::kernels::MatMulTopKQ(qa.data.data(), qa.scales.data(),
-                                       qb.data.data(), qb.scales.data(),
-                                       kTopKN, kTopKM, kTopKP, kTopKK,
-                                       quant.data());
-          sink += quant[0].index;
-        }
-        best_quant = std::min(best_quant, sw.ElapsedSeconds());
-      }
-      std::printf("%-8s %12.1f %12.1f %8.2fx %6s\n", cpu::IsaName(isa),
-                  best_fused / iters * 1e6, best_quant / iters * 1e6,
-                  best_fused / best_quant, tier_exact ? "yes" : "NO");
+      const bench::Timing fp32 = bench::TimeCalls(
+          [&] {
+            tensor::kernels::MatMulTopK(a.data(), b.data(), kTopKN, kTopKM,
+                                        kTopKP, kTopKK, fused.data());
+            sink += fused[0].index;
+          },
+          samples);
+      const bench::Timing int8 = bench::TimeCalls(
+          [&] {
+            tensor::kernels::MatMulTopKQ(qa.data.data(), qa.scales.data(),
+                                         qb.data.data(), qb.scales.data(),
+                                         kTopKN, kTopKM, kTopKP, kTopKK,
+                                         quant.data());
+            sink += quant[0].index;
+          },
+          samples);
+      std::printf("%-8s %26s %26s %8.2fx %6s\n", cpu::IsaName(isa),
+                  bench::Spread(fp32).c_str(), bench::Spread(int8).c_str(),
+                  fp32.median / int8.median, tier_exact ? "yes" : "NO");
       bench::JsonObject row;
       row.Set("isa", std::string(cpu::IsaName(isa)))
-          .Set("fp32_us_per_call", best_fused / iters * 1e6)
-          .Set("int8_us_per_call", best_quant / iters * 1e6)
-          .Set("int8_speedup", best_fused / best_quant)
+          .SetRaw("fp32_us_per_call", bench::TimingJson(fp32))
+          .SetRaw("int8_us_per_call", bench::TimingJson(int8))
+          .Set("int8_speedup", fp32.median / int8.median)
           .Set("matches_scalar_tier", tier_exact);
       quant_rows.push_back(row.Str());
     }
     cpu::SetIsaOverride("auto");
     if (sink == -1) std::printf("unreachable\n");
-    std::printf("  fp32 fused vs unfused (auto tier): %.2fx\n",
-                fused_vs_unfused);
   }
+  const double fused_vs_unfused = unfused.median / fused_auto.median;
+  std::printf("  auto tier: unfused %s us, fused %s us: %.2fx\n",
+              bench::Spread(unfused).c_str(),
+              bench::Spread(fused_auto).c_str(), fused_vs_unfused);
 
   std::printf(
       "\nInt8 serving stages (n=%d, %dx%d, kq=%d, k=%d, single thread, "
-      "us per call p10/median/p90):\n",
+      "us per call, median [p10, p90]):\n",
       kStageN, kStageP, kStageM, kStageKq, kStageK);
   std::printf("%6s %26s %26s %26s %6s\n", "shards", "candidate pass",
               "merge", "re-rank", "exact");
   std::vector<std::string> stage_rows;
   for (const StageResult& r : RunInt8Stages(smoke)) {
     ok = ok && r.exact;
-    auto cell = [](const bench::Timing& t) {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%7.1f/%7.1f/%7.1f", t.p10, t.median,
-                    t.p90);
-      return std::string(buf);
-    };
     std::printf("%6d %26s %26s %26s %6s\n", r.shards,
-                cell(r.candidates).c_str(),
-                r.shards > 1 ? cell(r.merge).c_str() : "-",
-                cell(r.rerank).c_str(), r.exact ? "yes" : "NO");
+                bench::Spread(r.candidates).c_str(),
+                r.shards > 1 ? bench::Spread(r.merge).c_str() : "-",
+                bench::Spread(r.rerank).c_str(), r.exact ? "yes" : "NO");
     bench::JsonObject row;
     row.Set("shards", r.shards)
         .SetRaw("candidate_pass", bench::TimingJson(r.candidates));
@@ -661,12 +712,43 @@ int main(int argc, char** argv) {
     stage_rows.push_back(row.Str());
   }
 
-  std::printf("\nTrainEpoch (GRU4Rec, batch_size 1, single thread):\n");
+  // The scaling gate only means something with workers to fan out to.
+  const bool shard_gate_enforced = hardware >= 2;
+  const double shard_gate = smoke ? 1.5 : 3.0;
+  const ShardSweep sweep = RunShardSweep(smoke, hardware);
+  std::printf(
+      "\nSharded scoring (1-row request, catalog %d, d=%d, top-%d, us per "
+      "call, median [p10, p90]):\n",
+      sweep.catalog, kShardDim, kShardTopK);
+  std::printf("  unsharded, 1 thread : %32s  (baseline)\n",
+              bench::Spread(sweep.unsharded).c_str());
+  std::vector<std::string> shard_rows;
+  for (const ShardPoint& point : sweep.points) {
+    std::printf("  S=%-3d %2d thread%s : %32s  (%5.2fx)\n", point.shards,
+                point.threads, point.threads == 1 ? " " : "s",
+                bench::Spread(point.us).c_str(), point.speedup);
+    bench::JsonObject row;
+    row.Set("shards", point.shards)
+        .Set("threads", point.threads)
+        .SetRaw("us_per_call", bench::TimingJson(point.us))
+        .Set("speedup_vs_unsharded_1t", point.speedup);
+    shard_rows.push_back(row.Str());
+  }
+  std::printf("  best sharded speedup at %d threads: %.2fx  (gate %.1fx, "
+              "%s)\n",
+              sweep.top_threads, sweep.best_speedup, shard_gate,
+              shard_gate_enforced ? "enforced" : "recorded only");
+
+  std::printf("\nTrainEpoch (GRU4Rec, batch_size 1, single thread, steps/s "
+              "at the median epoch):\n");
   TrainResult train = RunTraining(smoke);
   ok = ok && train.losses_bit_identical;
-  std::printf("  arena off: %8.1f steps/s\n", train.steps_per_sec_arena_off);
-  std::printf("  arena on:  %8.1f steps/s  (%.2fx, losses %s)\n",
-              train.steps_per_sec_arena_on, train.speedup,
+  std::printf("  arena off: %8.1f steps/s  (epoch %s us)\n",
+              train.steps_per_sec_arena_off,
+              bench::Spread(train.epoch_arena_off).c_str());
+  std::printf("  arena on:  %8.1f steps/s  (epoch %s us; %.2fx, losses %s)\n",
+              train.steps_per_sec_arena_on,
+              bench::Spread(train.epoch_arena_on).c_str(), train.speedup,
               train.losses_bit_identical ? "bit-identical" : "DIVERGED");
 
   std::vector<std::string> compiled_names, supported_names;
@@ -691,6 +773,7 @@ int main(int argc, char** argv) {
   report.Set("bench", std::string("bench_kernels"))
       .Set("smoke", smoke)
       .Set("threads", 1)
+      .Set("hardware_threads", hardware)
       .SetRaw("cpu_isa", isa_info.Str())
       .SetRaw("gemm", bench::JsonArray(gemm_rows))
       .SetRaw("topk", bench::JsonArray(topk_rows));
@@ -699,6 +782,8 @@ int main(int argc, char** argv) {
       .Set("m", kTopKM)
       .Set("catalog", kTopKP)
       .Set("k", kTopKK)
+      .SetRaw("unfused_us_per_call", bench::TimingJson(unfused))
+      .SetRaw("fp32_fused_us_per_call", bench::TimingJson(fused_auto))
       .Set("fp32_fused_vs_unfused_speedup", fused_vs_unfused)
       .SetRaw("quant_variants", bench::JsonArray(quant_rows));
   report.SetRaw("topk_fused", topk_fused_row.Str());
@@ -710,10 +795,24 @@ int main(int argc, char** argv) {
       .Set("k", kStageK)
       .SetRaw("rows", bench::JsonArray(stage_rows));
   report.SetRaw("int8_serving_stages", stages.Str());
+  bench::JsonObject sharding;
+  sharding.Set("catalog", sweep.catalog)
+      .Set("dim", kShardDim)
+      .Set("rows", 1)
+      .Set("top_k", kShardTopK)
+      .SetRaw("unsharded_1t_us_per_call", bench::TimingJson(sweep.unsharded))
+      .SetRaw("points", bench::JsonArray(shard_rows))
+      .Set("gate_threads", sweep.top_threads)
+      .Set("best_speedup_at_gate_threads", sweep.best_speedup)
+      .Set("gate_min_speedup", shard_gate)
+      .Set("gate_enforced", shard_gate_enforced);
+  report.SetRaw("sharded_scoring", sharding.Str());
   bench::JsonObject train_row;
   train_row.Set("workload",
                 std::string("TinySpec scaled to 200 users / 120 items, "
                             "GRU4Rec, batch_size 1"))
+      .SetRaw("epoch_us_arena_off", bench::TimingJson(train.epoch_arena_off))
+      .SetRaw("epoch_us_arena_on", bench::TimingJson(train.epoch_arena_on))
       .Set("steps_per_sec_arena_off", train.steps_per_sec_arena_off)
       .Set("steps_per_sec_arena_on", train.steps_per_sec_arena_on)
       .Set("arena_speedup", train.speedup)
@@ -733,19 +832,28 @@ int main(int argc, char** argv) {
                  "above)\n");
     return 1;
   }
+  // Every gate is checked and reported, not only the first to fail.
+  bool gates_ok = true;
+  if (shard_gate_enforced && sweep.best_speedup < shard_gate) {
+    std::fprintf(stderr,
+                 "FATAL: sharded scoring speedup %.2fx at %d threads below "
+                 "the %.1fx gate\n",
+                 sweep.best_speedup, sweep.top_threads, shard_gate);
+    gates_ok = false;
+  }
   if (smoke && gate_speedup < 1.0) {
     std::fprintf(stderr,
                  "FATAL: packed kernel slower than naive on %s "
                  "(%.2fx)\n",
                  kSmokeGateLabel, gate_speedup);
-    return 1;
+    gates_ok = false;
   }
   if (smoke && fused_vs_unfused < 1.0) {
     std::fprintf(stderr,
                  "FATAL: fused MatMulTopK slower than materialize+TopK on "
                  "the serving shape (%.2fx)\n",
                  fused_vs_unfused);
-    return 1;
+    gates_ok = false;
   }
   if (smoke) {
     if (gate_avx2_gflops <= 0.0) {
@@ -761,8 +869,8 @@ int main(int argc, char** argv) {
                    "(%.2f vs %.2f GF/s, gate %.1fx)\n",
                    gate_avx2_gflops / gate_scalar_gflops, kSmokeGateLabel,
                    gate_avx2_gflops, gate_scalar_gflops, kSimdGateMinSpeedup);
-      return 1;
+      gates_ok = false;
     }
   }
-  return 0;
+  return gates_ok ? 0 : 1;
 }

@@ -9,7 +9,9 @@
 // evaluation metrics must be bit-identical at every thread count, and
 // batched training must be reproducible for a fixed thread count.
 //
-// Writes a BENCH_parallel.json report (path = argv[1], default
+// Epochs and evaluation passes are timed by bench::TimeCalls (one warm-up
+// call, then N timed calls); speedups compare medians. Writes a
+// BENCH_parallel.json report (path = argv[1], default
 // ./BENCH_parallel.json). Speedups are relative to threads=1 on the same
 // machine; on single-core hosts expect ~1x (the report records the core
 // count so the numbers can be judged in context).
@@ -27,7 +29,7 @@ namespace {
 using namespace causer;
 
 constexpr int kThreadCounts[] = {1, 2, 4, 8};
-constexpr int kTrainEpochs = 2;  // timed epochs per thread count
+constexpr int kTrainEpochs = 3;  // timed epochs per thread count
 constexpr int kEvalRepeats = 3;  // timed Evaluate passes per thread count
 
 const data::Dataset& BenchData() {
@@ -56,9 +58,10 @@ models::ModelConfig BatchedConfig() {
 
 struct ThreadRun {
   int threads = 0;
-  double train_seconds_per_epoch = 0.0;
+  bench::Timing epoch_us, eval_us;
+  double train_seconds_per_epoch = 0.0;  // at the median epoch
   double train_examples_per_sec = 0.0;
-  double eval_seconds = 0.0;
+  double eval_seconds = 0.0;  // at the median pass
   double eval_instances_per_sec = 0.0;
   double final_loss = 0.0;
   bool eval_bit_identical = true;
@@ -76,23 +79,20 @@ ThreadRun RunAtThreadCount(int threads) {
 
   // --- training ---
   models::Gru4Rec model(BatchedConfig());
-  model.TrainEpoch(BenchSplit().train);  // warm-up epoch (allocations, caches)
-  Stopwatch sw;
-  double loss = 0.0;
-  for (int e = 0; e < kTrainEpochs; ++e)
-    loss = model.TrainEpoch(BenchSplit().train);
-  run.train_seconds_per_epoch = sw.ElapsedSeconds() / kTrainEpochs;
-  run.final_loss = loss;
+  run.epoch_us = bench::TimeCalls(
+      [&] { run.final_loss = model.TrainEpoch(BenchSplit().train); },
+      kTrainEpochs);
+  run.train_seconds_per_epoch = run.epoch_us.median * 1e-6;
   run.train_examples_per_sec =
       NumExamplesPerEpoch() / run.train_seconds_per_epoch;
 
   // --- evaluation ---
   auto scorer = models::MakeScorer(model);
   eval::EvalResult result;
-  Stopwatch esw;
-  for (int r = 0; r < kEvalRepeats; ++r)
-    result = eval::Evaluate(scorer, BenchSplit().test, 5, threads);
-  run.eval_seconds = esw.ElapsedSeconds() / kEvalRepeats;
+  run.eval_us = bench::TimeCalls(
+      [&] { result = eval::Evaluate(scorer, BenchSplit().test, 5, threads); },
+      kEvalRepeats);
+  run.eval_seconds = run.eval_us.median * 1e-6;
   run.eval_instances_per_sec = BenchSplit().test.size() / run.eval_seconds;
 
   // Contract: Evaluate's instance-order merge makes metrics bit-identical
@@ -143,6 +143,7 @@ int main(int argc, char** argv) {
   SetDefaultThreads(1);
 
   const ThreadRun& base = runs.front();
+  std::printf("(median epoch and evaluation pass; the report has p10/p90)\n");
   std::printf("%8s %14s %14s %10s %14s %10s %6s\n", "threads", "s/epoch",
               "train ex/s", "speedup", "eval inst/s", "speedup", "exact");
   std::vector<std::string> rows;
@@ -160,9 +161,11 @@ int main(int argc, char** argv) {
     bench::JsonObject row;
     row.Set("threads", run.threads)
         .Set("train_seconds_per_epoch", run.train_seconds_per_epoch)
+        .SetRaw("train_epoch_us", bench::TimingJson(run.epoch_us))
         .Set("train_examples_per_sec", run.train_examples_per_sec)
         .Set("train_speedup_vs_1", train_speedup)
         .Set("eval_seconds", run.eval_seconds)
+        .SetRaw("eval_pass_us", bench::TimingJson(run.eval_us))
         .Set("eval_instances_per_sec", run.eval_instances_per_sec)
         .Set("eval_speedup_vs_1", eval_speedup)
         .Set("final_epoch_loss", run.final_loss)

@@ -5,8 +5,7 @@
 //   (1) incremental: advancing a cached session one interaction at a time
 //       (AdvanceState + ScoreFromState) vs. re-scoring the whole history
 //       with ScoreAll at every event, at history length 50 — for GRU4Rec
-//       (the gated number, best pass) and Causer (reported), each with the
-//       median and p10/p90 across passes;
+//       (gated) and Causer (reported);
 //   (2) batched: 32 concurrent users scored through the engine's batched
 //       [B,d] x [V,d]^T GEMM + fused top-k path vs. 32 independent
 //       ScoreAll + eval::TopK calls, plus the unbatched-incremental
@@ -17,11 +16,13 @@
 //       rerank_k = catalog (provably identical to fp32) before timing
 //       the rerank_k=64 configuration.
 //
-// Sharded scoring is benched (and gated) by bench_sharding alone.
+// Sharded scoring is benched (and gated) by bench_kernels alone.
 //
 // Every timed path is checked bit-identical to its reference first; a
-// mismatch fails the run. Writes a BENCH_serving.json report (path =
-// argv[last], default ./BENCH_serving.json).
+// mismatch fails the run. Every stage is timed by bench::TimeCalls (one
+// warm-up call, then N timed calls) and reported as median [p10, p90];
+// every speed gate compares medians. Writes a BENCH_serving.json report
+// (path = argv[last], default ./BENCH_serving.json).
 //
 // `--smoke` shrinks the timed work for CI and relaxes the >=5x full-run
 // gates to >=1.5x and the >=2x int8 gate to >=1.3x (shared-runner noise),
@@ -64,7 +65,7 @@ std::vector<data::Step> SyntheticHistory(int user, int num_items,
 struct IncrementalResult {
   bench::Timing replay;       ///< us per event
   bench::Timing incremental;  ///< us per event
-  double speedup = 0.0;       ///< best replay pass / best incremental pass
+  double speedup = 0.0;       ///< median replay pass / median incremental
   bool bit_identical = true;
 };
 
@@ -99,8 +100,9 @@ IncrementalResult RunIncremental(models::SequentialRecommender& model,
         }
       },
       passes, kHistoryLen);
-  // One fresh session per pass, created outside the timed calls.
-  std::vector<std::unique_ptr<models::SessionState>> states(passes);
+  // One fresh session per pass (and one for the warm-up call), created
+  // outside the timed calls.
+  std::vector<std::unique_ptr<models::SessionState>> states(passes + 1);
   for (auto& state : states) state = model.NewSessionState(user);
   int pass = 0;
   result.incremental = bench::TimeCalls(
@@ -113,16 +115,8 @@ IncrementalResult RunIncremental(models::SequentialRecommender& model,
       },
       passes, kHistoryLen);
   if (sink == 12345.678f) std::printf("unreachable\n");
-  result.speedup = result.replay.best / result.incremental.best;
+  result.speedup = result.replay.median / result.incremental.median;
   return result;
-}
-
-/// "median [p10, p90]" of a timing, for the report tables.
-std::string Spread(const bench::Timing& t) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.1f [%.1f, %.1f]", t.median, t.p10,
-                t.p90);
-  return buf;
 }
 
 models::ModelConfig ServingModelConfig() {
@@ -155,24 +149,23 @@ int main(int argc, char** argv) {
       "Online serving: incremental sessions, batched GEMM + fused top-k",
       "Wang et al., ICDE 2023 (serving engine; no paper figure)");
   SetDefaultThreads(1);  // engine-path numbers, not parallel scaling
-  const int repeats = smoke ? 3 : 5;
   const double gate = smoke ? 1.5 : 5.0;
   bool ok = true;
+  // Timed calls per stage: in the full run enough for ten to lie beyond
+  // each reported percentile.
+  const int passes = smoke ? 20 : 100;
 
   // -- Section 1: incremental advance vs full replay ----------------------
-  // The gate reads the best pass. The median and its p10/p90 show the
-  // spread, so enough passes run for ten to lie beyond each percentile.
-  const int passes = smoke ? 20 : 100;
   std::printf(
-      "Incremental vs full replay (history %d, us per event; best pass, "
-      "and median [p10, p90] of %d passes):\n",
+      "Incremental vs full replay (history %d, us per event, median [p10, "
+      "p90] of %d passes):\n",
       kHistoryLen, passes);
-  std::printf("%-8s %8s %22s %8s %22s %9s %6s\n", "model", "replay",
-              "replay spread", "incr", "incr spread", "speedup", "exact");
+  std::printf("%-8s %26s %26s %9s %6s\n", "model", "replay", "incremental",
+              "speedup", "exact");
   auto print_row = [](const char* name, const IncrementalResult& r) {
-    std::printf("%-8s %8.1f %22s %8.1f %22s %8.2fx %6s\n", name,
-                r.replay.best, Spread(r.replay).c_str(), r.incremental.best,
-                Spread(r.incremental).c_str(), r.speedup,
+    std::printf("%-8s %26s %26s %8.2fx %6s\n", name,
+                bench::Spread(r.replay).c_str(),
+                bench::Spread(r.incremental).c_str(), r.speedup,
                 r.bit_identical ? "yes" : "NO");
   };
   models::Gru4Rec gru(ServingModelConfig());
@@ -228,42 +221,42 @@ int main(int argc, char** argv) {
   }
   ok = ok && batch_exact;
 
-  double best_per_request = 1e30, best_unbatched_inc = 1e30;
-  double best_batched = 1e30;
+  // Per-request timings: each call scores all kBatchUsers users.
   float sink = 0.0f;
-  for (int r = 0; r < repeats; ++r) {
-    Stopwatch sw;
-    for (int u = 0; u < kBatchUsers; ++u) {
-      auto scores = gru.ScoreAll(u, histories[u]);
-      sink += static_cast<float>(eval::TopK(scores, sc.top_k)[0]);
-    }
-    best_per_request = std::min(best_per_request, sw.ElapsedSeconds());
-  }
-  for (int r = 0; r < repeats; ++r) {
-    Stopwatch sw;
-    for (int u = 0; u < kBatchUsers; ++u) {
-      serve::Request one = requests[u];
-      sink += static_cast<float>(engine.ScoreBatch({one})[0].items[0]);
-    }
-    best_unbatched_inc = std::min(best_unbatched_inc, sw.ElapsedSeconds());
-  }
-  for (int r = 0; r < repeats; ++r) {
-    Stopwatch sw;
-    sink += static_cast<float>(engine.ScoreBatch(requests)[0].items[0]);
-    best_batched = std::min(best_batched, sw.ElapsedSeconds());
-  }
+  const bench::Timing per_request = bench::TimeCalls(
+      [&] {
+        for (int u = 0; u < kBatchUsers; ++u) {
+          auto scores = gru.ScoreAll(u, histories[u]);
+          sink += static_cast<float>(eval::TopK(scores, sc.top_k)[0]);
+        }
+      },
+      passes, kBatchUsers);
+  const bench::Timing unbatched_inc = bench::TimeCalls(
+      [&] {
+        for (int u = 0; u < kBatchUsers; ++u) {
+          serve::Request one = requests[u];
+          sink += static_cast<float>(engine.ScoreBatch({one})[0].items[0]);
+        }
+      },
+      passes, kBatchUsers);
+  const bench::Timing batched = bench::TimeCalls(
+      [&] {
+        sink += static_cast<float>(engine.ScoreBatch(requests)[0].items[0]);
+      },
+      passes, kBatchUsers);
   if (sink == 12345.678f) std::printf("unreachable\n");
-  const double batched_speedup = best_per_request / best_batched;
+  const double batched_speedup = per_request.median / batched.median;
   std::printf(
-      "\nBatch scoring (%d users, history %d, top-%d, per request):\n",
+      "\nBatch scoring (%d users, history %d, top-%d, us per request, "
+      "median [p10, p90]):\n",
       kBatchUsers, kHistoryLen, sc.top_k);
-  std::printf("  per-request ScoreAll + TopK : %9.1f us\n",
-              best_per_request / kBatchUsers * 1e6);
-  std::printf("  unbatched incremental       : %9.1f us\n",
-              best_unbatched_inc / kBatchUsers * 1e6);
-  std::printf("  batched GEMM + fused top-k  : %9.1f us   (%.2fx vs "
+  std::printf("  per-request ScoreAll + TopK : %26s\n",
+              bench::Spread(per_request).c_str());
+  std::printf("  unbatched incremental       : %26s\n",
+              bench::Spread(unbatched_inc).c_str());
+  std::printf("  batched GEMM + fused top-k  : %26s   (%.2fx vs "
               "per-request, exact %s)\n",
-              best_batched / kBatchUsers * 1e6, batched_speedup,
+              bench::Spread(batched).c_str(), batched_speedup,
               batch_exact ? "yes" : "NO");
 
   // -- Section 3: int8 quantized scoring vs fp32 --------------------------
@@ -311,20 +304,20 @@ int main(int argc, char** argv) {
     ok = ok && quant_exact;
   }
 
-  int8_engine.ScoreBatch(qrequests);  // warm the int8 engine's sessions
-  double best_fp32 = 1e30, best_int8 = 1e30;
-  for (int r = 0; r < repeats; ++r) {
-    Stopwatch sw;
-    sink += static_cast<float>(fp32_engine.ScoreBatch(qrequests)[0].items[0]);
-    best_fp32 = std::min(best_fp32, sw.ElapsedSeconds());
-  }
-  for (int r = 0; r < repeats; ++r) {
-    Stopwatch sw;
-    sink += static_cast<float>(int8_engine.ScoreBatch(qrequests)[0].items[0]);
-    best_int8 = std::min(best_int8, sw.ElapsedSeconds());
-  }
+  const bench::Timing fp32_batch = bench::TimeCalls(
+      [&] {
+        sink += static_cast<float>(
+            fp32_engine.ScoreBatch(qrequests)[0].items[0]);
+      },
+      passes);
+  const bench::Timing int8_batch = bench::TimeCalls(
+      [&] {
+        sink += static_cast<float>(
+            int8_engine.ScoreBatch(qrequests)[0].items[0]);
+      },
+      passes);
   if (sink == 54321.678f) std::printf("unreachable\n");
-  const double quant_speedup = best_fp32 / best_int8;
+  const double quant_speedup = fp32_batch.median / int8_batch.median;
   const tensor::QuantizedMatrix* qtable = qmodel.QuantizedItemTable();
   const double fp32_table_bytes =
       static_cast<double>(kQuantItems) * kQuantDim * sizeof(float);
@@ -335,12 +328,14 @@ int main(int argc, char** argv) {
   const double memory_gate = 3.5;
   std::printf(
       "\nInt8 quantized scoring (%d users, catalog %d, d=%d, rerank-k %d, "
-      "per batch):\n",
+      "us per batch, median [p10, p90]):\n",
       kBatchUsers, kQuantItems, kQuantDim, int8_sc.rerank_k);
-  std::printf("  fp32 GEMM + fused top-k     : %9.1f us\n", best_fp32 * 1e6);
-  std::printf("  int8 GEMM + fp32 re-rank    : %9.1f us   (%.2fx, exact via "
+  std::printf("  fp32 GEMM + fused top-k     : %26s\n",
+              bench::Spread(fp32_batch).c_str());
+  std::printf("  int8 GEMM + fp32 re-rank    : %26s   (%.2fx, exact via "
               "full re-rank %s)\n",
-              best_int8 * 1e6, quant_speedup, quant_exact ? "yes" : "NO");
+              bench::Spread(int8_batch).c_str(), quant_speedup,
+              quant_exact ? "yes" : "NO");
   std::printf("  item table %9.0f -> %7.0f bytes  (%.2fx smaller)\n",
               fp32_table_bytes,
               qtable ? static_cast<double>(qtable->MemoryBytes()) : 0.0,
@@ -350,18 +345,14 @@ int main(int argc, char** argv) {
   bench::JsonObject incremental_row;
   incremental_row.Set("history_len", kHistoryLen)
       .Set("passes", passes)
-      .Set("gru4rec_replay_us_per_event", gru_inc.replay.best)
-      .SetRaw("gru4rec_replay_us_per_event_spread",
+      .SetRaw("gru4rec_replay_us_per_event",
               bench::TimingJson(gru_inc.replay))
-      .Set("gru4rec_incremental_us_per_event", gru_inc.incremental.best)
-      .SetRaw("gru4rec_incremental_us_per_event_spread",
+      .SetRaw("gru4rec_incremental_us_per_event",
               bench::TimingJson(gru_inc.incremental))
       .Set("gru4rec_speedup", gru_inc.speedup)
-      .Set("causer_replay_us_per_event", causer_inc.replay.best)
-      .SetRaw("causer_replay_us_per_event_spread",
+      .SetRaw("causer_replay_us_per_event",
               bench::TimingJson(causer_inc.replay))
-      .Set("causer_incremental_us_per_event", causer_inc.incremental.best)
-      .SetRaw("causer_incremental_us_per_event_spread",
+      .SetRaw("causer_incremental_us_per_event",
               bench::TimingJson(causer_inc.incremental))
       .Set("causer_speedup", causer_inc.speedup)
       .Set("bit_identical",
@@ -370,10 +361,10 @@ int main(int argc, char** argv) {
   batch_row.Set("users", kBatchUsers)
       .Set("catalog", kNumItems)
       .Set("top_k", sc.top_k)
-      .Set("per_request_scoreall_us", best_per_request / kBatchUsers * 1e6)
-      .Set("unbatched_incremental_us",
-           best_unbatched_inc / kBatchUsers * 1e6)
-      .Set("batched_us", best_batched / kBatchUsers * 1e6)
+      .Set("passes", passes)
+      .SetRaw("per_request_scoreall_us", bench::TimingJson(per_request))
+      .SetRaw("unbatched_incremental_us", bench::TimingJson(unbatched_inc))
+      .SetRaw("batched_us", bench::TimingJson(batched))
       .Set("batched_speedup", batched_speedup)
       .Set("responses_exact", batch_exact);
   bench::JsonObject quant_row;
@@ -381,8 +372,9 @@ int main(int argc, char** argv) {
       .Set("catalog", kQuantItems)
       .Set("dim", kQuantDim)
       .Set("rerank_k", int8_sc.rerank_k)
-      .Set("fp32_batch_us", best_fp32 * 1e6)
-      .Set("int8_batch_us", best_int8 * 1e6)
+      .Set("passes", passes)
+      .SetRaw("fp32_batch_us", bench::TimingJson(fp32_batch))
+      .SetRaw("int8_batch_us", bench::TimingJson(int8_batch))
       .Set("int8_speedup", quant_speedup)
       .Set("table_memory_ratio", memory_ratio)
       .Set("full_rerank_exact", quant_exact)

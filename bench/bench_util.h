@@ -121,15 +121,17 @@ MakeBaselines(const data::Dataset& dataset, uint64_t seed = 7) {
 
 /// Order statistics of repeated wall-time samples, in microseconds.
 struct Timing {
-  double best = 0.0, p10 = 0.0, median = 0.0, p90 = 0.0;
+  double p10 = 0.0, median = 0.0, p90 = 0.0;
 };
 
-/// Times `samples` back-to-back calls of `fn` (no warm-up: make one first
-/// if the first call is not representative) and returns the nearest-rank
-/// order statistics of each call's wall time divided by `per` (e.g. the
-/// events one call handles).
+/// The benches' one timer. Makes one untimed warm-up call of `fn`
+/// (scratch allocations, caches), then times `samples` back-to-back calls
+/// and returns the nearest-rank order statistics of each call's wall time
+/// divided by `per` (e.g. the events or kernel calls one call handles).
+/// Gates compare medians; reports give median [p10, p90].
 template <typename Fn>
 Timing TimeCalls(Fn&& fn, int samples, int per = 1) {
+  fn();
   std::vector<double> us(samples);
   for (double& t : us) {
     Stopwatch sw;
@@ -140,7 +142,15 @@ Timing TimeCalls(Fn&& fn, int samples, int per = 1) {
   auto at = [&](double q) {
     return us[static_cast<size_t>(q * (samples - 1) + 0.5)];
   };
-  return {us.front(), at(0.1), at(0.5), at(0.9)};
+  return {at(0.1), at(0.5), at(0.9)};
+}
+
+/// "median [p10, p90]" of a timing, for the printed tables.
+inline std::string Spread(const Timing& t) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "%.1f [%.1f, %.1f]", t.median, t.p10,
+                t.p90);
+  return buf;
 }
 
 inline void PrintHeader(const std::string& title, const std::string& paper) {

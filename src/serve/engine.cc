@@ -58,8 +58,7 @@ ServingEngine::ServingEngine(
       }()),
       store_(config_.max_sessions) {
   CAUSER_CHECK(model != nullptr);
-  served_.store(BuildServed(std::move(model), 1, "initial"),
-                std::memory_order_release);
+  served_ = BuildServed(std::move(model), 1, "initial");
   if (metrics::Enabled()) ServeMetrics().active_version.Set(1.0);
 }
 
@@ -98,7 +97,7 @@ uint64_t ServingEngine::Reload(
   const bool measure = metrics::Enabled();
   std::lock_guard<std::mutex> lock(reload_mu_);
   Stopwatch watch;
-  const auto current = served_.load(std::memory_order_acquire);
+  const auto current = Served();
   if (model == nullptr ||
       model->config().num_items != current->model->config().num_items) {
     // The catalog size is load-bearing: the server validates request item
@@ -113,11 +112,15 @@ uint64_t ServingEngine::Reload(
   }
   const auto next = BuildServed(std::move(model), current->version + 1,
                                 source);
-  // The swap itself: one atomic store. Batches already running keep the
-  // ServedModel they pinned; the next batch (and the session store's
-  // version stamps, via the version it passes to Acquire) sees the new
-  // one. Nothing on the score path blocks on reload_mu_.
-  served_.store(next, std::memory_order_release);
+  // The swap itself: one pointer swap under served_mu_. Batches already
+  // running keep the ServedModel they pinned; the next batch (and the
+  // session store's version stamps, via the version it passes to Acquire)
+  // sees the new one. Nothing on the score path blocks on reload_mu_, and
+  // `current` keeps the retired version until after the lock is released.
+  {
+    std::lock_guard<std::mutex> swap(served_mu_);
+    served_ = next;
+  }
   if (measure) {
     ServeMetrics().reloads.Add();
     ServeMetrics().active_version.Set(static_cast<double>(next->version));
@@ -126,13 +129,19 @@ uint64_t ServingEngine::Reload(
   return next->version;
 }
 
+std::shared_ptr<const ServingEngine::ServedModel> ServingEngine::Served()
+    const {
+  std::lock_guard<std::mutex> lock(served_mu_);
+  return served_;
+}
+
 uint64_t ServingEngine::active_version() const {
-  return served_.load(std::memory_order_acquire)->version;
+  return Served()->version;
 }
 
 std::shared_ptr<const models::SequentialRecommender> ServingEngine::model()
     const {
-  return served_.load(std::memory_order_acquire)->model;
+  return Served()->model;
 }
 
 void ServingEngine::Stop() { stopped_.store(true, std::memory_order_release); }
@@ -230,13 +239,12 @@ std::vector<Response> ServingEngine::ProcessBatch(
     ServeMetrics().batch_size.Observe(static_cast<double>(batch.size()));
   }
 
-  // Pin the current model version for the whole batch: one atomic load,
-  // no lock. A Reload publishing mid-batch swaps served_ under us, but
-  // this shared_ptr keeps our version (weights + quantized table) alive
-  // and every step below uses it — the batch is bit-exact for the version
-  // it started on.
-  const std::shared_ptr<const ServedModel> served =
-      served_.load(std::memory_order_acquire);
+  // Pin the current model version for the whole batch: one pointer copy
+  // under served_mu_, released before any work. A Reload publishing
+  // mid-batch swaps served_ under us, but this shared_ptr keeps our
+  // version (weights + quantized table) alive and every step below uses
+  // it — the batch is bit-exact for the version it started on.
+  const std::shared_ptr<const ServedModel> served = Served();
   models::SequentialRecommender& model = *served->model;
   if (fault::ShouldFail("serve.reload_mid_batch")) {
     // Chaos harness: widen the pin-to-score window so a concurrent Reload

@@ -93,13 +93,14 @@ struct Response {
 /// requests each), and one mutex runs their batches one at a time. See
 /// docs/ARCHITECTURE.md for the request data flow.
 ///
-/// The model is hot-swappable: Reload() publishes a new version through an
-/// atomic shared_ptr (epoch swap). Each batch pins the version live when
-/// it starts and scores with it to completion, so a reload never blocks
-/// the score path and an in-flight batch never sees weights change under
-/// it; session states built by older versions are replaced by fresh ones
-/// seeded from their request's bootstrap on next touch (docs/ROBUSTNESS.md,
-/// "Serving fault tolerance").
+/// The model is hot-swappable: Reload() publishes a new version by
+/// swapping a shared_ptr (epoch swap) under a mutex held only for the
+/// pointer copy. Each batch pins the version live when it starts and
+/// scores with it to completion, so a reload never waits on a batch and
+/// an in-flight batch never sees weights change under it; session states
+/// built by older versions are replaced by fresh ones seeded from their
+/// request's bootstrap on next touch (docs/ROBUSTNESS.md, "Serving fault
+/// tolerance").
 class ServingEngine {
  public:
   ServingEngine(std::shared_ptr<models::SequentialRecommender> model,
@@ -130,16 +131,16 @@ class ServingEngine {
   /// Hot-swaps the served model: rebuilds the int8 quantized item table
   /// when quantize_int8 is on (on this thread — scoring continues on the
   /// old version meanwhile), then publishes the new version with one
-  /// atomic store. Batches in flight finish on the version they pinned;
-  /// later batches pick up the new one, and their stale session states
-  /// are rebuilt from bootstrap on touch. The engine drops its reference
-  /// to the retired version here; the version is freed when the last batch
-  /// that pinned it ends, whatever stale sessions it leaves cached (they
-  /// keep only its version stamp). Returns the new active version,
-  /// or 0 — previous version keeps serving — when `model` is null or its
-  /// catalog size differs from the current one (the server's request
-  /// validation and every cached expectation key on it). Thread-safe;
-  /// concurrent reloads are serialized.
+  /// pointer swap under served_mu_. Batches in flight finish on the
+  /// version they pinned; later batches pick up the new one, and their
+  /// stale session states are rebuilt from bootstrap on touch. The engine
+  /// drops its reference to the retired version here; the version is
+  /// freed when the last batch that pinned it ends, whatever stale
+  /// sessions it leaves cached (they keep only its version stamp). Returns
+  /// the new active version, or 0 — previous version keeps serving — when
+  /// `model` is null or its catalog size differs from the current one (the
+  /// server's request validation and every cached expectation key on it).
+  /// Thread-safe; concurrent reloads are serialized.
   uint64_t Reload(std::shared_ptr<models::SequentialRecommender> model,
                   const std::string& source = "reload");
 
@@ -155,8 +156,8 @@ class ServingEngine {
 
  private:
   /// One published model version plus its serving-side derived state.
-  /// Immutable after publish; batches pin it with one atomic shared_ptr
-  /// load and keep it for the whole batch.
+  /// Immutable after publish; batches pin it with one Served() copy and
+  /// keep it for the whole batch.
   struct ServedModel {
     uint64_t version = 1;
     std::shared_ptr<models::SequentialRecommender> model;
@@ -188,11 +189,16 @@ class ServingEngine {
                           const std::vector<int>& gemm_rows,
                           std::vector<Response>& unique_responses);
 
+  /// A copy of the current version, taken under served_mu_.
+  std::shared_ptr<const ServedModel> Served() const;
+
   const ServingConfig config_;
   SessionStore store_;
-  /// The epoch-swapped current version: readers (batches) do one atomic
-  /// load and never lock; Reload publishes with one atomic store.
-  std::atomic<std::shared_ptr<const ServedModel>> served_;
+  /// The epoch-swapped current version. served_mu_ is held only to copy
+  /// or swap the pointer, never across a build or a batch, so readers
+  /// wait at most for another pointer copy.
+  mutable std::mutex served_mu_;
+  std::shared_ptr<const ServedModel> served_;
   std::mutex reload_mu_;  // serializes writers (Reload)
 
   /// The one serving lock: ProcessBatch, and with it every session-store

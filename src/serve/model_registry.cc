@@ -11,7 +11,8 @@ ModelRegistry::ModelRegistry(Factory factory)
     : factory_(std::move(factory)) {}
 
 std::shared_ptr<const ModelVersion> ModelRegistry::Current() const {
-  return current_.load(std::memory_order_acquire);
+  std::lock_guard<std::mutex> lock(current_mu_);
+  return current_;
 }
 
 std::shared_ptr<const ModelVersion> ModelRegistry::Publish(
@@ -22,7 +23,13 @@ std::shared_ptr<const ModelVersion> ModelRegistry::Publish(
   entry->version = next_version_++;
   entry->model = std::move(model);
   entry->source = std::move(source);
-  current_.store(entry, std::memory_order_release);
+  // Swap rather than assign, so that the retired version is released
+  // after the lock, not under it.
+  std::shared_ptr<const ModelVersion> retired = entry;
+  {
+    std::lock_guard<std::mutex> swap(current_mu_);
+    current_.swap(retired);
+  }
   return entry;
 }
 

@@ -1,7 +1,6 @@
 #ifndef CAUSER_SERVE_MODEL_REGISTRY_H_
 #define CAUSER_SERVE_MODEL_REGISTRY_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -25,11 +24,11 @@ struct ModelVersion {
 
 /// Loads model versions from files — PR-4 training checkpoints
 /// (`ckpt-NNNNNN.causer`, CRC-validated) or bare nn::SaveParameters dumps —
-/// and publishes them via shared_ptr epoch swap. Current() is a single
-/// atomic shared_ptr load: hot-path readers never take a lock, and the
-/// version they grab stays alive until the last reader drops it. Writers
-/// (reload paths) are serialized by a mutex; a failed load publishes
-/// nothing, so the previous version keeps serving.
+/// and publishes them via shared_ptr epoch swap. Current() copies the
+/// pointer under a mutex held only for that copy (never across a load),
+/// and the version a reader grabs stays alive until the last reader drops
+/// it. Writers (reload paths) are serialized by a second mutex; a failed
+/// load publishes nothing, so the previous version keeps serving.
 class ModelRegistry {
  public:
   /// Builds an architecture-compatible empty model for each load. May be
@@ -39,7 +38,7 @@ class ModelRegistry {
 
   explicit ModelRegistry(Factory factory = nullptr);
 
-  /// The live version (lock-free), or null before the first publish.
+  /// The live version, or null before the first publish.
   std::shared_ptr<const ModelVersion> Current() const;
 
   /// Publishes an already-built model as the next version. Never fails;
@@ -59,7 +58,8 @@ class ModelRegistry {
   Factory factory_;
   std::mutex publish_mu_;
   uint64_t next_version_ = 1;  // guarded by publish_mu_
-  std::atomic<std::shared_ptr<const ModelVersion>> current_;
+  mutable std::mutex current_mu_;  // held only to copy or swap current_
+  std::shared_ptr<const ModelVersion> current_;
 };
 
 }  // namespace causer::serve

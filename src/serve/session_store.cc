@@ -66,7 +66,7 @@ ServeMetricsT& ServeMetrics() {
                           "kept serving."),
       metrics::GetHistogram("serve.reload.seconds", "seconds",
                             "Wall time of a reload publish: quantized-table "
-                            "rebuild + atomic swap (the score path is never "
+                            "rebuild + pointer swap (the score path is never "
                             "blocked).",
                             metrics::ExponentialBuckets(1e-6, 10.0, 8)),
       metrics::GetGauge("serve.reload.active_version", "version",

@@ -82,55 +82,76 @@ void ExpectBitIdentical(const std::vector<TopKEntry>& expected,
   }
 }
 
+/// One catalog input of the kernel equivalence tests. `distinct` > 0
+/// builds a DuplicateHeavyMatrix; 0 builds a random one.
+struct CatalogShape {
+  int m, p, distinct;
+};
+
+std::vector<float> ShapeMatrix(const CatalogShape& shape, Rng& rng) {
+  return shape.distinct > 0
+             ? DuplicateHeavyMatrix(shape.p, shape.m, shape.distinct, rng)
+             : RandomMatrix(shape.p, shape.m, rng);
+}
+
+/// The serving shape: d = 64 and a random catalog of 4096 items, so that
+/// each of 2-8 shards spans several 512-column chunks.
+constexpr CatalogShape kServingShape = {64, 4096, 0};
+
 TEST(ShardedTopKTest, Fp32BitIdenticalAcrossShardsThreadsIsas) {
   IsaThreadGuard guard;
   Rng rng(20260815);
-  const int m = 16, p = 300;
-  auto b = DuplicateHeavyMatrix(p, m, /*distinct=*/7, rng);
-  for (cpu::Isa isa : cpu::CompiledIsas()) {
-    if (!cpu::IsaSupported(isa)) continue;
-    ASSERT_TRUE(cpu::SetIsaOverride(cpu::IsaName(isa)));
-    for (int threads : {1, 2, 8}) {
-      SetDefaultThreads(threads);
-      for (int n : {1, 4}) {  // n = 1 is the single-request serving shape
-        auto a = RandomMatrix(n, m, rng);
-        for (int k : {1, 5, 128}) {
-          std::vector<TopKEntry> expected(static_cast<size_t>(n) * k);
-          tensor::kernels::MatMulTopK(a.data(), b.data(), n, m, p, k,
-                                      expected.data());
-          for (int shards : {1, 2, 3, 8, 17}) {
-            // 17 shards of ~18 rows with k = 128 > shard width: shards
-            // return fewer than k candidates and the merge must repad.
-            std::vector<TopKEntry> actual(static_cast<size_t>(n) * k,
-                                          TopKEntry{7, -1.0f});
-            const int used = tensor::kernels::MatMulTopKSharded(
-                a.data(), b.data(), n, m, p, k, shards, actual.data());
-            EXPECT_EQ(used, shards);  // all counts here are within [1, p]
-            ExpectBitIdentical(expected, actual,
-                               std::string(cpu::IsaName(isa)) + " t" +
-                                   std::to_string(threads) + " n" +
-                                   std::to_string(n) + " k" +
-                                   std::to_string(k) + " S" +
-                                   std::to_string(shards));
+  for (const CatalogShape& shape : {CatalogShape{16, 300, 7}, kServingShape}) {
+    const int m = shape.m, p = shape.p;
+    auto b = ShapeMatrix(shape, rng);
+    for (cpu::Isa isa : cpu::CompiledIsas()) {
+      if (!cpu::IsaSupported(isa)) continue;
+      ASSERT_TRUE(cpu::SetIsaOverride(cpu::IsaName(isa)));
+      for (int threads : {1, 2, 8}) {
+        SetDefaultThreads(threads);
+        for (int n : {1, 4}) {  // n = 1 is the single-request serving shape
+          auto a = RandomMatrix(n, m, rng);
+          for (int k : {1, 5, 128}) {
+            std::vector<TopKEntry> expected(static_cast<size_t>(n) * k);
+            tensor::kernels::MatMulTopK(a.data(), b.data(), n, m, p, k,
+                                        expected.data());
+            for (int shards : {1, 2, 3, 8, 17}) {
+              // 17 shards of ~18 rows with k = 128 > shard width (p = 300):
+              // shards return fewer than k candidates and the merge must
+              // repad.
+              std::vector<TopKEntry> actual(static_cast<size_t>(n) * k,
+                                            TopKEntry{7, -1.0f});
+              const int used = tensor::kernels::MatMulTopKSharded(
+                  a.data(), b.data(), n, m, p, k, shards, actual.data());
+              EXPECT_EQ(used, shards);  // all counts here are within [1, p]
+              ExpectBitIdentical(expected, actual,
+                                 std::string(cpu::IsaName(isa)) + " t" +
+                                     std::to_string(threads) + " p" +
+                                     std::to_string(p) + " n" +
+                                     std::to_string(n) + " k" +
+                                     std::to_string(k) + " S" +
+                                     std::to_string(shards));
+            }
           }
         }
       }
+      cpu::ResetIsaForTest();
+      SetDefaultThreads(1);
     }
-    cpu::ResetIsaForTest();
-    SetDefaultThreads(1);
   }
 }
 
 TEST(ShardedTopKTest, Int8BitIdenticalIncludingThresholdPriming) {
   IsaThreadGuard guard;
   Rng rng(20260816);
-  const int m = 16;
   // p = 1200 gives shards wider than one 512-column chunk at small S, so
   // threshold priming (each range's narrow first chunk, compacted at once)
   // is followed by filtered chunks *within* shards, not just in the
-  // unsharded reference.
-  for (int p : {300, 1200}) {
-    auto bf = DuplicateHeavyMatrix(p, m, /*distinct=*/7, rng);
+  // unsharded reference; the serving shape does so over random scores.
+  for (const CatalogShape& shape :
+       {CatalogShape{16, 300, 7}, CatalogShape{16, 1200, 7}, kServingShape}) {
+    const int m = shape.m, p = shape.p;
+    auto bf = ShapeMatrix(shape, rng);
     tensor::QuantizedMatrix qb;
     ASSERT_TRUE(tensor::QuantizeRows(bf.data(), p, m, &qb));
     for (cpu::Isa isa : cpu::CompiledIsas()) {
