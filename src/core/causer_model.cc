@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 
 #include "causal/acyclicity.h"
@@ -723,8 +724,12 @@ void CauserModel::PretrainAndFreezeGraph(
                                 clusterer_->ReconstructionLoss());
       opt_aux_->ZeroGrad();
       tensor::Backward(loss);
-      opt_aux_->ClipGradNorm(config_.grad_clip);
-      opt_aux_->Step();
+      if (!GuardedStep(*opt_aux_)) {
+        CAUSER_LOG(Warning) << "non-finite clustering gradient in graph "
+                            << "pre-training round " << round
+                            << "; step refused";
+        break;
+      }
     }
     RefreshCaches();
     // Graph phase: fit W^c to the observed cluster transitions.
@@ -751,6 +756,12 @@ double CauserModel::TrainEpoch(const std::vector<data::Sequence>& train) {
                             epoch_ >= causer_config_.graph_warmup_epochs;
 
   RefreshCaches();  // Algorithm 1 line 7-8
+  // A refused step ends the epoch with a NaN loss. The parameters may have
+  // moved since the refresh above, so the caches are stale either way.
+  const auto refuse = [this] {
+    caches_stale_ = true;
+    return std::numeric_limits<double>::quiet_NaN();
+  };
 
   // Auxiliary phase: clustering + reconstruction objectives (Eqs. 7-8).
   if (update_slow && (causer_config_.use_clustering_loss ||
@@ -767,8 +778,7 @@ double CauserModel::TrainEpoch(const std::vector<data::Sequence>& train) {
       }
       opt_aux_->ZeroGrad();
       tensor::Backward(loss);
-      opt_aux_->ClipGradNorm(config_.grad_clip);
-      opt_aux_->Step();
+      if (!GuardedStep(*opt_aux_)) return refuse();
     }
     RefreshCaches();  // assignments moved
   }
@@ -789,14 +799,7 @@ double CauserModel::TrainEpoch(const std::vector<data::Sequence>& train) {
     if (!any) continue;
 
     const auto& positives = steps[ex.target_step].items;
-    int available = config_.num_items - static_cast<int>(positives.size());
-    int num_neg = std::min(config_.num_negatives, std::max(0, available));
-    std::vector<int> ids = positives;
-    auto negatives =
-        data::SampleNegatives(config_.num_items, positives, num_neg, rng_);
-    ids.insert(ids.end(), negatives.begin(), negatives.end());
-    std::vector<float> labels(ids.size(), 0.0f);
-    for (size_t i = 0; i < positives.size(); ++i) labels[i] = 1.0f;
+    const Candidates cand = SampleCandidates(positives);
 
     Stopwatch step_sw;
     // Per-example tape arena: every candidate's filtered encoding, the
@@ -804,8 +807,8 @@ double CauserModel::TrainEpoch(const std::vector<data::Sequence>& train) {
     // (after loss.Item() below). Parameters and caches stay heap.
     tensor::ArenaScope arena_scope;
     std::vector<Tensor> logit_rows;
-    logit_rows.reserve(ids.size());
-    for (int b : ids) {
+    logit_rows.reserve(cand.ids.size());
+    for (int b : cand.ids) {
       Encoded enc = EncodeFiltered(history, b);
       logit_rows.push_back(CandidateLogit(enc, ex.sequence->user, b,
                                           /*differentiable_graph=*/false));
@@ -815,20 +818,17 @@ double CauserModel::TrainEpoch(const std::vector<data::Sequence>& train) {
     }
     Tensor logits = tensor::ConcatRows(logit_rows);
     Tensor targets =
-        Tensor::FromData(static_cast<int>(ids.size()), 1, labels);
+        Tensor::FromData(static_cast<int>(cand.ids.size()), 1, cand.labels);
     Tensor loss = tensor::BceWithLogits(logits, targets);
 
     opt_main_->ZeroGrad();
     opt_aux_->ZeroGrad();
     tensor::Backward(loss);
-    double norm = opt_main_->ClipGradNorm(config_.grad_clip);
-    opt_main_->Step();
-    if (update_slow) {
-      // Theta_a also receives recommendation-loss gradients on slow-update
-      // epochs (Algorithm 1 line 11 updates the full parameter set).
-      opt_aux_->ClipGradNorm(config_.grad_clip);
-      opt_aux_->Step();
-    }
+    double norm = 0.0;
+    if (!GuardedStep(*opt_main_, &norm)) return refuse();
+    // Theta_a also receives recommendation-loss gradients on slow-update
+    // epochs (Algorithm 1 line 11 updates the full parameter set).
+    if (update_slow && !GuardedStep(*opt_aux_)) return refuse();
     if (measure) {
       auto& tm = models::TrainerMetrics();
       tm.optimizer_steps.Add();

@@ -1,5 +1,7 @@
 #include "models/ncf.h"
 
+#include <limits>
+
 #include "data/sampler.h"
 #include "tensor/autograd.h"
 #include "tensor/ops.h"
@@ -76,8 +78,9 @@ double Ncf::TrainEpoch(const std::vector<data::Sequence>& train) {
     Tensor loss = tensor::BceWithLogits(logits, targets);
     optimizer_->ZeroGrad();
     tensor::Backward(loss);
-    optimizer_->ClipGradNorm(config_.grad_clip);
-    optimizer_->Step();
+    if (!GuardedStep(*optimizer_)) {
+      return std::numeric_limits<double>::quiet_NaN();
+    }
     total += loss.Item();
   }
   return pairs.empty() ? 0.0 : total / pairs.size();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "common/fault.h"
 #include "common/log.h"
@@ -82,6 +83,28 @@ std::vector<data::Step> SequentialRecommender::Truncate(
   const int cap = config_.max_history;
   if (static_cast<int>(history.size()) <= cap) return history;
   return std::vector<data::Step>(history.end() - cap, history.end());
+}
+
+SequentialRecommender::Candidates SequentialRecommender::SampleCandidates(
+    const std::vector<int>& positives) {
+  const int available = config_.num_items - static_cast<int>(positives.size());
+  const int num_neg = std::min(config_.num_negatives, std::max(0, available));
+  Candidates c;
+  c.ids = positives;
+  std::vector<int> negatives =
+      data::SampleNegatives(config_.num_items, positives, num_neg, rng_);
+  c.ids.insert(c.ids.end(), negatives.begin(), negatives.end());
+  c.labels.assign(c.ids.size(), 0.0f);
+  std::fill(c.labels.begin(), c.labels.begin() + positives.size(), 1.0f);
+  return c;
+}
+
+bool SequentialRecommender::GuardedStep(nn::Optimizer& opt, double* norm) {
+  const double n = opt.ClipGradNorm(config_.grad_clip);
+  if (norm != nullptr) *norm = n;
+  if (!std::isfinite(n)) return false;
+  opt.Step();
+  return true;
 }
 
 std::unique_ptr<SessionState> SequentialRecommender::NewSessionState(
@@ -189,76 +212,19 @@ double RepresentationModel::TrainEpoch(
   CAUSER_CHECK(optimizer_ != nullptr);
   auto examples = data::EnumerateExamples(train);
   rng_.Shuffle(examples);
-  if (config_.batch_size > 1) return TrainEpochBatched(examples);
 
-  const bool measure = metrics::Enabled();
-  double total_loss = 0.0;
-  int count = 0;
-  for (const auto& ex : examples) {
-    const auto& steps = ex.sequence->steps;
-    std::vector<data::Step> history(steps.begin(),
-                                    steps.begin() + ex.target_step);
-    history = Truncate(history);
-    if (history.empty()) continue;
-    const auto& positives = steps[ex.target_step].items;
-    int available = config_.num_items - static_cast<int>(positives.size());
-    int num_neg = std::min(config_.num_negatives, std::max(0, available));
-    std::vector<int> negatives =
-        data::SampleNegatives(config_.num_items, positives, num_neg, rng_);
-
-    std::vector<int> ids = positives;
-    ids.insert(ids.end(), negatives.begin(), negatives.end());
-    std::vector<float> labels(ids.size(), 0.0f);
-    for (size_t i = 0; i < positives.size(); ++i) labels[i] = 1.0f;
-
-    Stopwatch step_sw;
-    // The whole step's tape (forward graph, loss, gradients of interior
-    // nodes) dies with this scope; parameters and optimizer state stay on
-    // the heap. loss.Item() below runs before the scope closes.
-    tensor::ArenaScope arena_scope;
-    Tensor rep = Represent(ex.sequence->user, history);  // [1, d]
-    Tensor cand = out_items_->Forward(ids);              // [n, d]
-    Tensor logits = tensor::MatMul(cand, tensor::Transpose(rep));  // [n, 1]
-    Tensor targets =
-        Tensor::FromData(static_cast<int>(ids.size()), 1, labels);
-    Tensor loss = tensor::BceWithLogits(logits, targets);
-
-    optimizer_->ZeroGrad();
-    tensor::Backward(loss);
-    double norm = optimizer_->ClipGradNorm(config_.grad_clip);
-    // Numeric-health sentinel: a non-finite global norm means some
-    // gradient exploded. Bail out before Step() poisons the parameters —
-    // the NaN epoch loss sends Fit() to its checkpoint-rollback path.
-    if (!std::isfinite(norm)) {
-      return std::numeric_limits<double>::quiet_NaN();
-    }
-    optimizer_->Step();
-    if (measure) {
-      auto& tm = TrainerMetrics();
-      tm.optimizer_steps.Add();
-      tm.grad_norm.Observe(norm);
-      tm.step_seconds.Observe(step_sw.ElapsedSeconds());
-    }
-    total_loss += loss.Item();
-    ++count;
-  }
-  return count > 0 ? total_loss / count : 0.0;
-}
-
-double RepresentationModel::TrainEpochBatched(
-    const std::vector<data::TrainExample>& examples) {
   struct Prepared {
     int user = 0;
     std::vector<data::Step> history;
-    std::vector<int> ids;
-    std::vector<float> labels;
+    Candidates cand;
   };
 
   auto params = Parameters();
   ThreadPool& pool = DefaultPool();
   const int max_shards = pool.num_threads();
-  // One private parameter copy per shard — the per-worker gradient buffers.
-  // Allocated lazily on first use and refreshed (values + zeroed grads)
+  // Shard 0 backpropagates into the live parameters on the calling thread.
+  // Shards 1.. each get a private parameter copy (the per-worker gradient
+  // buffers), cloned on first use and refreshed (values + zeroed grads)
   // before every batch, since Step() changes the parameters in between.
   std::vector<std::vector<Tensor>> shadows(max_shards);
   std::vector<double> shard_loss(max_shards, 0.0);
@@ -281,19 +247,8 @@ double RepresentationModel::TrainEpochBatched(
                                       steps.begin() + ex.target_step);
       history = Truncate(history);
       if (history.empty()) continue;
-      const auto& positives = steps[ex.target_step].items;
-      int available = config_.num_items - static_cast<int>(positives.size());
-      int num_neg = std::min(config_.num_negatives, std::max(0, available));
-      Prepared p;
-      p.user = ex.sequence->user;
-      p.ids = positives;
-      std::vector<int> negatives =
-          data::SampleNegatives(config_.num_items, positives, num_neg, rng_);
-      p.ids.insert(p.ids.end(), negatives.begin(), negatives.end());
-      p.labels.assign(p.ids.size(), 0.0f);
-      for (size_t i = 0; i < positives.size(); ++i) p.labels[i] = 1.0f;
-      p.history = std::move(history);
-      batch.push_back(std::move(p));
+      batch.push_back({ex.sequence->user, std::move(history),
+                       SampleCandidates(steps[ex.target_step].items)});
     }
     if (batch.empty()) continue;
     const int bsz = static_cast<int>(batch.size());
@@ -306,31 +261,34 @@ double RepresentationModel::TrainEpochBatched(
       for (int s = shard_begin; s < shard_end; ++s) {
         const int lo = bsz * s / shards;
         const int hi = bsz * (s + 1) / shards;
-        auto& shadow = shadows[s];
-        if (shadow.empty()) {
-          shadow.reserve(params.size());
-          for (const auto& p : params)
-            shadow.push_back(p.Clone(/*requires_grad=*/true));
-        } else {
-          for (size_t i = 0; i < params.size(); ++i) {
-            shadow[i].data() = params[i].data();
-            shadow[i].ZeroGrad();
+        std::optional<tensor::ParamSubstitutionScope> scope;
+        if (s > 0) {
+          auto& shadow = shadows[s];
+          if (shadow.empty()) {
+            shadow.reserve(params.size());
+            for (const auto& p : params)
+              shadow.push_back(p.Clone(/*requires_grad=*/true));
+          } else {
+            for (size_t i = 0; i < params.size(); ++i) {
+              shadow[i].data() = params[i].data();
+              shadow[i].ZeroGrad();
+            }
           }
+          scope.emplace(params, shadow);
         }
-        tensor::ParamSubstitutionScope scope(params, shadow);
         double loss_sum = 0.0;
         for (int e = lo; e < hi; ++e) {
-          // Per-example tape on this worker's thread-local arena. The
-          // shadow parameters were cloned outside any scope, so their
-          // grad buffers (the cross-example accumulators) stay heap.
+          // Per-example tape on this thread's arena. Parameters and shadows
+          // were created outside any scope, so their grad buffers (the
+          // cross-example accumulators) stay heap.
           tensor::ArenaScope arena_scope;
           const Prepared& p = batch[e];
           Tensor rep = Represent(p.user, p.history);            // [1, d]
-          Tensor cand = out_items_->Forward(p.ids);             // [n, d]
+          Tensor cand = out_items_->Forward(p.cand.ids);        // [n, d]
           Tensor logits =
               tensor::MatMul(cand, tensor::Transpose(rep));     // [n, 1]
           Tensor targets = Tensor::FromData(
-              static_cast<int>(p.ids.size()), 1, p.labels);
+              static_cast<int>(p.cand.ids.size()), 1, p.cand.labels);
           Tensor loss = tensor::BceWithLogits(logits, targets);
           tensor::Backward(loss);
           loss_sum += loss.Item();
@@ -339,26 +297,27 @@ double RepresentationModel::TrainEpochBatched(
       }
     });
 
-    // Reduce the per-shard gradients into the parameters in shard order
-    // (deterministic for a fixed thread count), averaging over the batch,
-    // then take one clipped step for the whole batch.
+    // The batch's mean gradient: scale shard 0's live gradients by 1/B,
+    // then add each shadow's in shard order (deterministic for a fixed
+    // thread count). Scaling by 1/1 is the identity, so a batch of one
+    // skips that pass.
     const float inv_batch = 1.0f / static_cast<float>(bsz);
     for (size_t i = 0; i < params.size(); ++i) {
       auto& node = *params[i].node();
-      for (int s = 0; s < shards; ++s) {
+      if (bsz > 1) {
+        for (auto& g : node.grad) g *= inv_batch;
+      }
+      for (int s = 1; s < shards; ++s) {
         const auto& g = shadows[s][i].grad();
         if (g.empty()) continue;
         node.EnsureGrad();
         for (size_t j = 0; j < g.size(); ++j) node.grad[j] += g[j] * inv_batch;
       }
     }
-    double norm = optimizer_->ClipGradNorm(config_.grad_clip);
-    // Same per-step sentinel as the sequential path: never Step() through
-    // a non-finite gradient.
-    if (!std::isfinite(norm)) {
+    double norm = 0.0;
+    if (!GuardedStep(*optimizer_, &norm)) {
       return std::numeric_limits<double>::quiet_NaN();
     }
-    optimizer_->Step();
     if (measure) {
       auto& tm = TrainerMetrics();
       tm.optimizer_steps.Add();

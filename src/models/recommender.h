@@ -64,13 +64,12 @@ struct ModelConfig {
   int max_history = 12;
   float learning_rate = 0.01f;
   float grad_clip = 5.0f;
-  /// Examples per optimizer step. 1 (the default) runs the legacy
-  /// sequential loop — one forward/backward/clip/step per example,
-  /// bit-identical to earlier releases under a fixed seed. Larger values
-  /// accumulate the mean gradient of up to `batch_size` examples (scored
-  /// concurrently on the shared pool when DefaultThreads() > 1, each worker
-  /// backpropagating into a private parameter copy) before a single
-  /// ClipGradNorm + Step.
+  /// Examples per optimizer step: RepresentationModel training accumulates
+  /// the mean gradient of up to `batch_size` examples before one guarded
+  /// clip + Step. The batch is scored in shards on the shared pool when
+  /// DefaultThreads() > 1: shard 0 backpropagates into the parameters
+  /// themselves, every further shard into a private parameter copy. 1 (the
+  /// default) is one step per example, on the calling thread, with no copy.
   int batch_size = 1;
   uint64_t seed = 7;
   /// Item raw features (needed by VTRNN / MMSARec / Causer); may be null.
@@ -200,6 +199,25 @@ class SequentialRecommender : public nn::Module {
   std::vector<data::Step> Truncate(
       const std::vector<data::Step>& history) const;
 
+  /// A training example's scored candidates and their BCE targets.
+  struct Candidates {
+    std::vector<int> ids;
+    std::vector<float> labels;
+  };
+
+  /// The positives (label 1), then min(num_negatives, items left)
+  /// negatives drawn from rng_ (label 0): the paper's sigmoid loss over
+  /// positives and sampled negatives (Section II-A).
+  Candidates SampleCandidates(const std::vector<int>& positives);
+
+  /// The one guarded optimizer step: clips `opt`'s gradients to
+  /// config_.grad_clip, then steps unless the pre-clip norm is non-finite,
+  /// so an exploded gradient never reaches the parameters. Returns false
+  /// (no step taken) on a non-finite norm; training loops then end the
+  /// epoch with a NaN loss, which sends Fit() to its checkpoint rollback.
+  /// `norm`, when given, receives the pre-clip norm.
+  bool GuardedStep(nn::Optimizer& opt, double* norm = nullptr);
+
   ModelConfig config_;
   Rng rng_;
 
@@ -220,6 +238,10 @@ class RepresentationModel : public SequentialRecommender {
 
   std::vector<float> ScoreAll(int user,
                               const std::vector<data::Step>& history) override;
+  /// Mini-batches of config_.batch_size examples, one guarded step each.
+  /// Reproducible for a fixed thread count (the shard count sets the
+  /// gradient reduce order); at batch_size 1 every thread count gives the
+  /// same bits.
   double TrainEpoch(const std::vector<data::Sequence>& train) override;
   void SaveTrainingState(std::string* out) const override;
   bool LoadTrainingState(serial::Reader& in) override;
@@ -244,12 +266,6 @@ class RepresentationModel : public SequentialRecommender {
   std::unique_ptr<nn::Embedding> out_items_;
 
  private:
-  /// Mini-batch gradient-accumulation epoch (config_.batch_size > 1):
-  /// shards each batch across the shared pool, every worker building
-  /// forward/backward graphs against a private parameter copy, then reduces
-  /// the per-worker gradients deterministically and takes one step.
-  double TrainEpochBatched(const std::vector<data::TrainExample>& examples);
-
   std::unique_ptr<nn::Adam> optimizer_;
 };
 

@@ -187,8 +187,9 @@ TEST(ArenaScopeTest, ParametersOutsideScopeKeepHeapGradients) {
 }
 
 TEST(ArenaScopeTest, ParamSubstitutionScopeWithShadowClones) {
-  // Mirrors TrainEpochBatched: shadows cloned *outside* any arena scope
-  // (heap), then graphs built against them inside per-example scopes.
+  // Mirrors RepresentationModel::TrainEpoch's shards 1..: shadows cloned
+  // *outside* any arena scope (heap), then graphs built against them
+  // inside per-example scopes.
   Rng rng(9);
   std::vector<Tensor> params = {Tensor::RandomNormal(4, 4, 1.0f, rng, true)};
   std::vector<Tensor> shadows = {params[0].Clone(/*requires_grad=*/true)};
@@ -227,7 +228,8 @@ models::ModelConfig SmokeConfig(const data::Dataset& dataset, int batch_size) {
 }
 
 // Full trainer equivalence: arena on vs. off yields bit-identical epoch
-// losses and parameters, in both the sequential and the batched path.
+// losses and parameters, for a batch of one (live parameters only) and for
+// batches of 8 on 4 threads (shadow shards).
 TEST(ArenaTrainingTest, SequentialEpochBitIdenticalWithArenaOnAndOff) {
   ArenaEnabledGuard guard;
   data::Dataset dataset = data::MakeDataset(data::TinySpec());

@@ -215,6 +215,22 @@ TEST_F(FaultToleranceTest, NanWithoutCheckpointsStopsCleanly) {
   }
 }
 
+TEST_F(FaultToleranceTest, CauserNanGradientIsNeverStepped) {
+  core::CauserModel model(
+      core::DefaultCauserConfig(dataset_, core::Backbone::kGru));
+
+  // The first hit lands on whichever optimizer steps first (an auxiliary
+  // clustering step or the main step); every one of them is guarded.
+  fault::Arm("optimizer.nan_grad");
+  const double loss = model.TrainEpoch(split_.train);
+  fault::DisarmAll();
+
+  EXPECT_TRUE(std::isnan(loss));
+  for (const auto& p : model.Parameters()) {
+    for (float v : p.data()) ASSERT_TRUE(std::isfinite(v));
+  }
+}
+
 TEST_F(FaultToleranceTest, RetriesExhaustedStopsUnhealthy) {
   models::ModelConfig cfg;
   cfg.num_users = dataset_.num_users;

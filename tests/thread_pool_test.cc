@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "data/generator.h"
@@ -195,14 +196,24 @@ TEST(BatchedTrainingTest, DeterministicForFixedThreadCount) {
   ThreadCountGuard guard;
   data::Dataset dataset = data::MakeDataset(data::TinySpec());
   data::Split split = data::LeaveLastOut(dataset);
-  SetDefaultThreads(4);
-  auto run = [&] {
-    models::Gru4Rec model(BatchedConfig(dataset, 8));
-    std::vector<double> losses;
-    for (int e = 0; e < 2; ++e) losses.push_back(model.TrainEpoch(split.train));
-    return losses;
-  };
-  EXPECT_EQ(run(), run());
+  // Batch size 1 is the one-shard batch (live parameters only); at 8 and
+  // 4 threads, shards 1.. copy the live values while shard 0 writes the
+  // live gradients.
+  for (int batch_size : {1, 8}) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE("batch_size=" + std::to_string(batch_size) +
+                   " threads=" + std::to_string(threads));
+      SetDefaultThreads(threads);
+      auto run = [&] {
+        models::Gru4Rec model(BatchedConfig(dataset, batch_size));
+        std::vector<double> losses;
+        for (int e = 0; e < 2; ++e)
+          losses.push_back(model.TrainEpoch(split.train));
+        return losses;
+      };
+      EXPECT_EQ(run(), run());
+    }
+  }
 }
 
 TEST(BatchedTrainingTest, ThreadCountOnlyPerturbsRounding) {

@@ -17,18 +17,15 @@
 //   explain   --data=<dir> --model=<file> --user=U [--top=3] [...]
 //     Prints the user's recommendation with per-step causal explanation.
 //
-//   serve     --data=<dir> --model=<file> [--serve-replay=N]
+//   serve     --data=<dir> --model=<file>
 //             [--batch-max=N] [--max-sessions=N]
 //             [--serve-port=N] [--deadline-ms=N] [--queue-depth=N]
 //             [--quantize=MODE] [--rerank-k=N] [--reload-watch=DIR]
 //             [--reload-poll-ms=N] [--conn-idle-timeout-ms=N]
 //             [--score-shards=N]
-//     Without --serve-port: replays the test split's requests through the
-//     online serving engine (incremental session states + batched GEMM
-//     scoring) from --threads concurrent clients, one request per call,
-//     and reports p50/p99 latency and QPS. With --serve-port (0 = ephemeral): binds the TCP
-//     front-end (src/serve/server.h, wire format in src/serve/protocol.h)
-//     and serves until SIGINT/SIGTERM, then drains gracefully. SIGHUP (or
+//     Binds the TCP front-end (src/serve/server.h, wire format in
+//     src/serve/protocol.h) on --serve-port (default 0 = ephemeral) and
+//     serves until SIGINT/SIGTERM, then drains gracefully. SIGHUP (or
 //     a kReload control frame) hot-reloads the model with zero downtime —
 //     from the newest checkpoint in --reload-watch when set, else by
 //     re-reading --model; --reload-watch is also polled so new
@@ -44,7 +41,6 @@
 // turns it on). Run `causer_cli --help` for the full flag reference.
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -68,7 +64,6 @@
 #include "data/io.h"
 #include "data/split.h"
 #include "data/stats.h"
-#include "common/stopwatch.h"
 #include "eval/metrics.h"
 #include "nn/serialization.h"
 #include "serve/engine.h"
@@ -135,15 +130,13 @@ int PrintHelp() {
       "10).\n"
       "\n"
       "serve flags (plus --data / --model / --top above):\n"
-      "  --serve-replay=N     Replay passes over the test split's requests "
-      "(default 1).\n"
       "  --batch-max=N        Most queued requests a server worker scores "
       "as one batch (default 32).\n"
       "  --max-sessions=N     Session-store LRU capacity (default 0 = "
       "unbounded).\n"
-      "  --serve-port=N       Bind the TCP front-end on this port instead "
-      "of replaying (0 = ephemeral; serves until SIGINT/SIGTERM, then "
-      "drains gracefully).\n"
+      "  --serve-port=N       Bind the TCP front-end on this port (default "
+      "0 = ephemeral; serves until SIGINT/SIGTERM, then drains "
+      "gracefully).\n"
       "  --deadline-ms=N      Default per-request deadline applied when a "
       "frame carries none; expired requests are rejected before scoring "
       "(default 0 = no deadline).\n"
@@ -441,11 +434,6 @@ int CmdServe(const Flags& flags) {
   if (data_dir.empty() || model_path.empty()) return Usage();
   data::Dataset dataset;
   if (!data::LoadDataset(data_dir, &dataset)) return 1;
-  data::Split split = data::LeaveLastOut(dataset);
-  if (split.test.empty()) {
-    std::fprintf(stderr, "test split is empty\n");
-    return 1;
-  }
   // The registry owns model loading: it accepts both plain weight files
   // and PR 4 training checkpoints (--reload-watch directories hold the
   // latter), validating before publishing so a bad file never replaces a
@@ -481,152 +469,82 @@ int CmdServe(const Flags& flags) {
   serve::ServingEngine engine(initial->model, sc);
   initial.reset();  // the engine owns version 1 now; a reload can free it
 
-  if (flags.Has("serve-port")) {
-    const std::string watch_dir = flags.GetString("reload-watch");
-    const double poll_seconds =
-        std::max(50, flags.GetInt("reload-poll-ms", 500)) * 1e-3;
+  const std::string watch_dir = flags.GetString("reload-watch");
+  const double poll_seconds =
+      std::max(50, flags.GetInt("reload-poll-ms", 500)) * 1e-3;
 
-    // One reload at a time, whatever triggered it (SIGHUP on the serve
-    // loop, kReload frames on reader threads, the watch-dir poll).
-    // `last_loaded` suppresses re-loading a checkpoint the poll already
-    // picked up; explicit triggers always reload.
-    std::mutex reload_mu;
-    std::string last_loaded = model_path;
-    auto reload_now = [&]() -> bool {
-      std::lock_guard<std::mutex> lock(reload_mu);
-      std::string path = model_path;
-      if (!watch_dir.empty()) {
-        std::vector<std::string> checkpoints = core::ListCheckpoints(watch_dir);
-        if (!checkpoints.empty()) path = checkpoints.back();
-      }
-      std::shared_ptr<const serve::ModelVersion> next =
-          registry.LoadAndPublish(path);
-      if (next == nullptr) {
-        std::fprintf(stderr, "reload failed: could not load %s\n",
-                     path.c_str());
-        return false;
-      }
-      const uint64_t version = engine.Reload(next->model, next->source);
-      if (version == 0) {
-        std::fprintf(stderr, "reload failed: engine rejected %s\n",
-                     path.c_str());
-        return false;
-      }
-      last_loaded = path;
-      // Parsed by the chaos CI job: keep the format.
-      std::printf("reloaded model version %llu from %s\n",
-                  static_cast<unsigned long long>(version), path.c_str());
-      std::fflush(stdout);
-      return true;
-    };
-    auto watch_has_news = [&]() -> bool {
-      if (watch_dir.empty()) return false;
+  // One reload at a time, whatever triggered it (SIGHUP on the serve
+  // loop, kReload frames on reader threads, the watch-dir poll).
+  // `last_loaded` suppresses re-loading a checkpoint the poll already
+  // picked up; explicit triggers always reload.
+  std::mutex reload_mu;
+  std::string last_loaded = model_path;
+  auto reload_now = [&]() -> bool {
+    std::lock_guard<std::mutex> lock(reload_mu);
+    std::string path = model_path;
+    if (!watch_dir.empty()) {
       std::vector<std::string> checkpoints = core::ListCheckpoints(watch_dir);
-      if (checkpoints.empty()) return false;
-      std::lock_guard<std::mutex> lock(reload_mu);
-      return checkpoints.back() != last_loaded;
-    };
-
-    serve::ServerConfig server_config;
-    server_config.port = flags.GetInt("serve-port", 0);
-    server_config.deadline_ms = flags.GetInt("deadline-ms", 0);
-    server_config.queue_depth = flags.GetInt("queue-depth", 256);
-    server_config.workers = std::max(1, DefaultThreads());
-    server_config.idle_timeout_ms = flags.GetInt("conn-idle-timeout-ms", 30000);
-    server_config.on_reload = reload_now;
-    serve::Server server(engine, server_config);
-    if (!server.Start()) {
-      std::fprintf(stderr, "failed to bind %s:%d\n",
-                   server_config.host.c_str(), server_config.port);
-      return 1;
+      if (!checkpoints.empty()) path = checkpoints.back();
     }
-    net::InstallShutdownHandler();
-    net::InstallReloadHandler();
-    // Parsed by scripts (CI smoke, loadgen wrappers): keep the format.
-    std::printf(
-        "serving on %s:%d (workers %d, queue-depth %d, deadline %d ms)\n",
-        server_config.host.c_str(), server.port(), server_config.workers,
-        server_config.queue_depth, server_config.deadline_ms);
-    std::fflush(stdout);
-    for (;;) {
-      const net::SignalKind kind = net::WaitForSignal(poll_seconds);
-      if (kind == net::SignalKind::kShutdown) break;
-      if (kind == net::SignalKind::kReload || watch_has_news()) reload_now();
+    std::shared_ptr<const serve::ModelVersion> next =
+        registry.LoadAndPublish(path);
+    if (next == nullptr) {
+      std::fprintf(stderr, "reload failed: could not load %s\n",
+                   path.c_str());
+      return false;
     }
-    std::printf("shutdown requested, draining\n");
+    const uint64_t version = engine.Reload(next->model, next->source);
+    if (version == 0) {
+      std::fprintf(stderr, "reload failed: engine rejected %s\n",
+                   path.c_str());
+      return false;
+    }
+    last_loaded = path;
+    // Parsed by the chaos CI job: keep the format.
+    std::printf("reloaded model version %llu from %s\n",
+                static_cast<unsigned long long>(version), path.c_str());
     std::fflush(stdout);
-    server.Shutdown();
-    engine.Stop();
-    std::printf("drained cleanly, %d sessions cached\n",
-                engine.store().size());
-    return 0;
-  }
-
-  // Each test instance becomes one request: the history minus its last
-  // step bootstraps the session on first sight, the last step is the
-  // "live" interaction appended before scoring. Replay passes keep
-  // appending, exercising the incremental advance path.
-  struct Replayed {
-    int user;
-    std::vector<data::Step> bootstrap;
-    data::Step append;
+    return true;
   };
-  std::vector<Replayed> requests;
-  requests.reserve(split.test.size());
-  for (const auto& inst : split.test) {
-    if (inst.history.empty()) continue;
-    Replayed r;
-    r.user = inst.user;
-    r.bootstrap.assign(inst.history.begin(), inst.history.end() - 1);
-    r.append = inst.history.back();
-    requests.push_back(std::move(r));
-  }
-  const int passes = std::max(1, flags.GetInt("serve-replay", 1));
-  const long total =
-      static_cast<long>(passes) * static_cast<long>(requests.size());
-  const int clients = std::max(1, DefaultThreads());
-
-  std::atomic<long> next{0};
-  std::vector<std::vector<double>> latencies(clients);
-  Stopwatch wall;
-  std::vector<std::thread> workers;
-  workers.reserve(clients);
-  for (int c = 0; c < clients; ++c) {
-    workers.emplace_back([&, c] {
-      for (long i = next.fetch_add(1); i < total; i = next.fetch_add(1)) {
-        const Replayed& r = requests[i % requests.size()];
-        serve::Request request;
-        request.user = r.user;
-        request.append = &r.append;
-        request.bootstrap = &r.bootstrap;
-        Stopwatch watch;
-        serve::Response response = engine.Handle(request);
-        latencies[c].push_back(watch.ElapsedSeconds());
-        if (response.items.empty()) {
-          std::fprintf(stderr, "empty response for user %d\n", r.user);
-        }
-      }
-    });
-  }
-  for (auto& worker : workers) worker.join();
-  const double wall_seconds = wall.ElapsedSeconds();
-
-  std::vector<double> all;
-  for (const auto& local : latencies)
-    all.insert(all.end(), local.begin(), local.end());
-  std::sort(all.begin(), all.end());
-  auto percentile = [&](double q) {
-    if (all.empty()) return 0.0;
-    size_t idx = static_cast<size_t>(q * (all.size() - 1));
-    return all[idx];
+  auto watch_has_news = [&]() -> bool {
+    if (watch_dir.empty()) return false;
+    std::vector<std::string> checkpoints = core::ListCheckpoints(watch_dir);
+    if (checkpoints.empty()) return false;
+    std::lock_guard<std::mutex> lock(reload_mu);
+    return checkpoints.back() != last_loaded;
   };
+
+  serve::ServerConfig server_config;
+  server_config.port = flags.GetInt("serve-port", 0);
+  server_config.deadline_ms = flags.GetInt("deadline-ms", 0);
+  server_config.queue_depth = flags.GetInt("queue-depth", 256);
+  server_config.workers = std::max(1, DefaultThreads());
+  server_config.idle_timeout_ms = flags.GetInt("conn-idle-timeout-ms", 30000);
+  server_config.on_reload = reload_now;
+  serve::Server server(engine, server_config);
+  if (!server.Start()) {
+    std::fprintf(stderr, "failed to bind %s:%d\n",
+                 server_config.host.c_str(), server_config.port);
+    return 1;
+  }
+  net::InstallShutdownHandler();
+  net::InstallReloadHandler();
+  // Parsed by scripts (CI smoke, loadgen wrappers): keep the format.
   std::printf(
-      "served %ld requests (%d pass(es) x %zu instances, %d client "
-      "threads)\n",
-      total, passes, requests.size(), clients);
-  std::printf("p50 %.3f ms   p99 %.3f ms   %.0f req/s   %d sessions cached\n",
-              percentile(0.50) * 1e3, percentile(0.99) * 1e3,
-              wall_seconds > 0 ? total / wall_seconds : 0.0,
+      "serving on %s:%d (workers %d, queue-depth %d, deadline %d ms)\n",
+      server_config.host.c_str(), server.port(), server_config.workers,
+      server_config.queue_depth, server_config.deadline_ms);
+  std::fflush(stdout);
+  for (;;) {
+    const net::SignalKind kind = net::WaitForSignal(poll_seconds);
+    if (kind == net::SignalKind::kShutdown) break;
+    if (kind == net::SignalKind::kReload || watch_has_news()) reload_now();
+  }
+  std::printf("shutdown requested, draining\n");
+  std::fflush(stdout);
+  server.Shutdown();
+  engine.Stop();
+  std::printf("drained cleanly, %d sessions cached\n",
               engine.store().size());
   return 0;
 }
