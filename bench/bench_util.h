@@ -124,25 +124,58 @@ struct Timing {
   double p10 = 0.0, median = 0.0, p90 = 0.0;
 };
 
+/// Nearest-rank p10/median/p90 of `samples` (sorted in place).
+inline Timing OrderStats(std::vector<double>& samples) {
+  std::sort(samples.begin(), samples.end());
+  auto at = [&](double q) {
+    return samples[static_cast<size_t>(q * (samples.size() - 1) + 0.5)];
+  };
+  return {at(0.1), at(0.5), at(0.9)};
+}
+
+/// Wall time of one call of `fn` in microseconds, divided by `per`.
+template <typename Fn>
+double TimeOneCall(Fn& fn, int per) {
+  Stopwatch sw;
+  fn();
+  return sw.ElapsedSeconds() * 1e6 / per;
+}
+
 /// The benches' one timer. Makes one untimed warm-up call of `fn`
 /// (scratch allocations, caches), then times `samples` back-to-back calls
-/// and returns the nearest-rank order statistics of each call's wall time
-/// divided by `per` (e.g. the events or kernel calls one call handles).
-/// Gates compare medians; reports give median [p10, p90].
+/// and returns the order statistics of each call's wall time divided by
+/// `per` (e.g. the events or kernel calls one call handles). Reports give
+/// median [p10, p90].
 template <typename Fn>
 Timing TimeCalls(Fn&& fn, int samples, int per = 1) {
   fn();
   std::vector<double> us(samples);
-  for (double& t : us) {
-    Stopwatch sw;
-    fn();
-    t = sw.ElapsedSeconds() * 1e6 / per;
+  for (double& t : us) t = TimeOneCall(fn, per);
+  return OrderStats(us);
+}
+
+/// The two sides of a gated comparison, timed by TimePair.
+struct PairTiming {
+  Timing a, b;         // each side's order statistics, as TimeCalls
+  double ratio = 0.0;  // median over the pairs of a's time / b's time
+};
+
+/// Times `a` and `b` interleaved: one warm-up call of each, then `samples`
+/// pairs a, b, a, b, ... A drift in the host's speed lands on both calls
+/// of a pair, so a gate compares the median of the per-pair ratios (how
+/// many times faster b ran than a) instead of two medians taken seconds
+/// apart.
+template <typename FnA, typename FnB>
+PairTiming TimePair(FnA&& a, FnB&& b, int samples, int per = 1) {
+  a();
+  b();
+  std::vector<double> ta(samples), tb(samples), ratio(samples);
+  for (int i = 0; i < samples; ++i) {
+    ta[i] = TimeOneCall(a, per);
+    tb[i] = TimeOneCall(b, per);
+    ratio[i] = ta[i] / tb[i];
   }
-  std::sort(us.begin(), us.end());
-  auto at = [&](double q) {
-    return us[static_cast<size_t>(q * (samples - 1) + 0.5)];
-  };
-  return {at(0.1), at(0.5), at(0.9)};
+  return {OrderStats(ta), OrderStats(tb), OrderStats(ratio).median};
 }
 
 /// "median [p10, p90]" of a timing, for the printed tables.

@@ -20,21 +20,4 @@ Dense AcyclicityGradient(const Dense& w) {
   return grad;
 }
 
-double AcyclicityValueAndAccumulateGrad(const float* w, int d, double scale,
-                                        float* grad) {
-  CAUSER_CHECK(w != nullptr && d > 0);
-  Dense wd(d, d);
-  for (int i = 0; i < d; ++i)
-    for (int j = 0; j < d; ++j) wd(i, j) = w[static_cast<size_t>(i) * d + j];
-  double h = AcyclicityValue(wd);
-  if (grad != nullptr) {
-    Dense g = AcyclicityGradient(wd);
-    for (int i = 0; i < d; ++i)
-      for (int j = 0; j < d; ++j)
-        grad[static_cast<size_t>(i) * d + j] +=
-            static_cast<float>(scale * g(i, j));
-  }
-  return h;
-}
-
 }  // namespace causer::causal

@@ -15,14 +15,6 @@ double AcyclicityValue(const Dense& w);
 /// Gradient of h: ∇h(W) = (e^{W∘W})^T ∘ 2W.
 Dense AcyclicityGradient(const Dense& w);
 
-/// Convenience for float parameter buffers (the cluster graph W^c lives in
-/// the autograd world as a float tensor): computes h(W) and, if `grad` is
-/// non-null, *adds* `scale * ∇h` into it. `w` and `grad` are row-major d*d
-/// buffers (raw pointers, so both heap vectors and the tensor layer's
-/// arena-backed FloatBuffers work).
-double AcyclicityValueAndAccumulateGrad(const float* w, int d, double scale,
-                                        float* grad);
-
 }  // namespace causer::causal
 
 #endif  // CAUSER_CAUSAL_ACYCLICITY_H_

@@ -83,14 +83,6 @@ double LocalScore(const Dense& data, int y, const std::vector<int>& parents,
 
 }  // namespace
 
-double BicScore(const Dense& data, const Graph& graph, double penalty) {
-  double total = 0.0;
-  for (int y = 0; y < graph.n(); ++y) {
-    total += LocalScore(data, y, graph.Parents(y), penalty);
-  }
-  return total;
-}
-
 GesResult GreedyEquivalenceSearch(const Dense& data,
                                   const GesOptions& options) {
   const int d = data.cols();

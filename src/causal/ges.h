@@ -34,10 +34,6 @@ struct GesResult {
 GesResult GreedyEquivalenceSearch(const Dense& data,
                                   const GesOptions& options = {});
 
-/// Gaussian BIC score of `graph` on `data` (sum over nodes of the
-/// residual-variance log-likelihood minus the BIC complexity penalty).
-double BicScore(const Dense& data, const Graph& graph, double penalty = 1.0);
-
 }  // namespace causer::causal
 
 #endif  // CAUSER_CAUSAL_GES_H_

@@ -67,25 +67,6 @@ std::vector<int> Graph::Descendants(int start) const {
   return out;
 }
 
-std::vector<int> Graph::Ancestors(int target) const {
-  std::vector<uint8_t> seen(n_, 0);
-  std::deque<int> queue{target};
-  seen[target] = 1;
-  std::vector<int> out;
-  while (!queue.empty()) {
-    int v = queue.front();
-    queue.pop_front();
-    for (int u = 0; u < n_; ++u) {
-      if (Edge(u, v) && !seen[u]) {
-        seen[u] = 1;
-        out.push_back(u);
-        queue.push_back(u);
-      }
-    }
-  }
-  return out;
-}
-
 Graph RandomDag(int n, double edge_prob, Rng& rng) {
   std::vector<int> order(n);
   for (int i = 0; i < n; ++i) order[i] = i;

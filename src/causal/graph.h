@@ -44,9 +44,6 @@ class Graph {
   /// Nodes reachable from `start` by directed edges (excluding start).
   std::vector<int> Descendants(int start) const;
 
-  /// Nodes that reach `target` by directed edges (excluding target).
-  std::vector<int> Ancestors(int target) const;
-
   bool operator==(const Graph& other) const {
     return n_ == other.n_ && adj_ == other.adj_;
   }

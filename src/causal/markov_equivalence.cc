@@ -79,11 +79,6 @@ void Pdag::SetUndirected(int i, int j) {
   state_[static_cast<size_t>(j) * n_ + i] = 2;
 }
 
-void Pdag::Remove(int i, int j) {
-  state_[static_cast<size_t>(i) * n_ + j] = 0;
-  state_[static_cast<size_t>(j) * n_ + i] = 0;
-}
-
 Pdag Cpdag(const Graph& g) {
   const int n = g.n();
   Pdag p(n);

@@ -36,7 +36,6 @@ class Pdag {
   bool Adjacent(int i, int j) const;
   void SetDirected(int i, int j);
   void SetUndirected(int i, int j);
-  void Remove(int i, int j);
 
   bool operator==(const Pdag& other) const {
     return n_ == other.n_ && state_ == other.state_;

@@ -26,52 +26,68 @@ Flags Flags::Parse(int argc, const char* const* argv) {
   return flags;
 }
 
+const std::string* Flags::Find(const std::string& name) const {
+  read_.insert(name);
+  auto it = values_.find(name);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
 bool Flags::Has(const std::string& name) const {
-  return values_.count(name) > 0;
+  return Find(name) != nullptr;
 }
 
 std::string Flags::GetString(const std::string& name,
                              const std::string& fallback) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? fallback : it->second;
+  const std::string* v = Find(name);
+  return v == nullptr ? fallback : *v;
 }
 
 int Flags::GetInt(const std::string& name, int fallback) const {
-  auto it = values_.find(name);
-  if (it == values_.end() || it->second.empty()) return fallback;
+  const std::string* v = Find(name);
+  if (v == nullptr || v->empty()) return fallback;
   char* end = nullptr;
-  long v = std::strtol(it->second.c_str(), &end, 10);
-  if (end == nullptr || end == it->second.c_str() || *end != '\0') {
+  long n = std::strtol(v->c_str(), &end, 10);
+  if (end == nullptr || end == v->c_str() || *end != '\0') {
     // Trailing garbage ("--rerank-k=2kf") must not silently become the
     // fallback: the caller asked for a number and didn't get one.
     std::fprintf(stderr, "malformed integer for --%s: '%s'\n", name.c_str(),
-                 it->second.c_str());
+                 v->c_str());
     std::exit(2);
   }
-  return static_cast<int>(v);
+  return static_cast<int>(n);
 }
 
 double Flags::GetDouble(const std::string& name, double fallback) const {
-  auto it = values_.find(name);
-  if (it == values_.end() || it->second.empty()) return fallback;
+  const std::string* v = Find(name);
+  if (v == nullptr || v->empty()) return fallback;
   char* end = nullptr;
-  double v = std::strtod(it->second.c_str(), &end);
-  if (end == nullptr || end == it->second.c_str() || *end != '\0') {
+  double x = std::strtod(v->c_str(), &end);
+  if (end == nullptr || end == v->c_str() || *end != '\0') {
     std::fprintf(stderr, "malformed number for --%s: '%s'\n", name.c_str(),
-                 it->second.c_str());
+                 v->c_str());
     std::exit(2);
   }
-  return v;
+  return x;
 }
 
 bool Flags::GetBool(const std::string& name, bool fallback) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  const std::string& v = it->second;
-  if (v.empty() || v == "1" || v == "true" || v == "yes" || v == "on")
+  const std::string* v = Find(name);
+  if (v == nullptr) return fallback;
+  if (v->empty() || *v == "1" || *v == "true" || *v == "yes" || *v == "on")
     return true;
-  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-  return fallback;
+  if (*v == "0" || *v == "false" || *v == "no" || *v == "off") return false;
+  std::fprintf(stderr, "malformed boolean for --%s: '%s'\n", name.c_str(),
+               v->c_str());
+  std::exit(2);
+}
+
+void Flags::ExitOnUnknown() const {
+  for (const auto& [name, value] : values_) {
+    if (read_.count(name) == 0) {
+      std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
+      std::exit(2);
+    }
+  }
 }
 
 }  // namespace causer

@@ -2,6 +2,7 @@
 #define CAUSER_COMMON_FLAGS_H_
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -12,9 +13,9 @@ namespace causer {
 /// Positional arguments are collected in order.
 class Flags {
  public:
-  /// Parses argv (argv[0] is skipped). Unknown flags are kept; validity is
-  /// the caller's concern. A later occurrence of a flag overrides an
-  /// earlier one.
+  /// Parses argv (argv[0] is skipped). Every flag is kept; ExitOnUnknown
+  /// rejects the ones no getter asked for. A later occurrence of a flag
+  /// overrides an earlier one.
   static Flags Parse(int argc, const char* const* argv);
 
   /// True when --name was present (with or without a value).
@@ -35,14 +36,25 @@ class Flags {
   double GetDouble(const std::string& name, double fallback) const;
 
   /// Boolean: true for presence without value or value in
-  /// {1, true, yes, on}; false for {0, false, no, off}.
+  /// {1, true, yes, on}; false for {0, false, no, off}. Any other value
+  /// ("--check=ture") is a usage error that exits 2, like GetInt.
   bool GetBool(const std::string& name, bool fallback = false) const;
+
+  /// Prints "unknown flag --<name>" and exits 2 when a flag was passed that
+  /// none of the getters above has read, so a typo or a retired flag fails
+  /// instead of running with defaults. Call once the command has read all
+  /// of its flags and before it does any work.
+  void ExitOnUnknown() const;
 
   /// Positional (non-flag) arguments, in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
  private:
+  /// The value of --name (null when absent), remembered as read.
+  const std::string* Find(const std::string& name) const;
+
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
   std::vector<std::string> positional_;
 };
 

@@ -6,7 +6,8 @@
 namespace causer {
 namespace {
 
-LogLevel g_level = LogLevel::kInfo;
+/// Messages below this level are dropped.
+constexpr LogLevel kMinLevel = LogLevel::kInfo;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -24,12 +25,8 @@ const char* LevelName(LogLevel level) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_level = level; }
-
-LogLevel GetLogLevel() { return g_level; }
-
 void LogMessage(LogLevel level, const std::string& message) {
-  if (static_cast<int>(level) < static_cast<int>(g_level)) return;
+  if (static_cast<int>(level) < static_cast<int>(kMinLevel)) return;
   std::fprintf(stderr, "[%s] %s\n", LevelName(level), message.c_str());
 }
 

@@ -9,13 +9,7 @@ namespace causer {
 /// Log verbosity levels, lowest first.
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
-/// Sets the global minimum level that is actually emitted.
-void SetLogLevel(LogLevel level);
-
-/// Current global minimum level.
-LogLevel GetLogLevel();
-
-/// Emits a single log line to stderr if `level` passes the global filter.
+/// Emits a single log line to stderr when `level` is kInfo or above.
 void LogMessage(LogLevel level, const std::string& message);
 
 namespace internal {

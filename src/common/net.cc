@@ -304,38 +304,12 @@ bool ShutdownRequested() {
   return g_shutdown_requested.load(std::memory_order_relaxed);
 }
 
-void WaitForShutdown() {
-  while (!ShutdownRequested()) {
-    if (g_shutdown_pipe[0] < 0) return;  // nothing to wait on
-    uint8_t byte;
-    ssize_t n = ::read(g_shutdown_pipe[0], &byte, 1);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return;
-  }
-}
-
-void TriggerShutdown() {
-  if (!EnsureSignalPipe()) {
-    g_shutdown_requested.store(true, std::memory_order_relaxed);
-    return;
-  }
-  ShutdownSignalHandler(0);
-}
-
 bool InstallReloadHandler() {
   if (!EnsureSignalPipe()) return false;
   struct sigaction action{};
   action.sa_handler = ReloadSignalHandler;
   sigemptyset(&action.sa_mask);
   return ::sigaction(SIGHUP, &action, nullptr) == 0;
-}
-
-void TriggerReload() {
-  if (!EnsureSignalPipe()) {
-    g_reload_requests.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  ReloadSignalHandler(0);
 }
 
 SignalKind WaitForSignal(double timeout_seconds) {

@@ -102,14 +102,8 @@ struct Cursor {
 /// false if the pipe or handlers could not be installed.
 bool InstallShutdownHandler();
 
-/// True once a shutdown signal arrived or TriggerShutdown() was called.
+/// True once a shutdown signal arrived.
 bool ShutdownRequested();
-
-/// Blocks until ShutdownRequested() becomes true.
-void WaitForShutdown();
-
-/// Programmatic equivalent of the signal (tests, embedding).
-void TriggerShutdown();
 
 // ---- signal-driven reload (SIGHUP, same self-pipe) --------------------
 
@@ -118,13 +112,10 @@ void TriggerShutdown();
 /// the pipe or handler could not be installed.
 bool InstallReloadHandler();
 
-/// Programmatic equivalent of SIGHUP (tests, wire-triggered reloads).
-void TriggerReload();
-
 enum class SignalKind : uint8_t {
   kNone = 0,   // timeout expired with no signal
-  kShutdown,   // SIGINT/SIGTERM/TriggerShutdown
-  kReload,     // SIGHUP/TriggerReload
+  kShutdown,   // SIGINT/SIGTERM
+  kReload,     // SIGHUP
 };
 
 /// Blocks up to `timeout_seconds` for a shutdown or reload request.

@@ -108,17 +108,4 @@ bool Rng::LoadState(serial::Reader& in) {
   return true;
 }
 
-std::vector<int> Rng::SampleWithoutReplacement(int n, int k) {
-  assert(k <= n);
-  std::vector<int> pool(n);
-  for (int i = 0; i < n; ++i) pool[i] = i;
-  // Partial Fisher-Yates: the first k slots become the sample.
-  for (int i = 0; i < k; ++i) {
-    int j = i + UniformInt(n - i);
-    std::swap(pool[i], pool[j]);
-  }
-  pool.resize(k);
-  return pool;
-}
-
 }  // namespace causer

@@ -59,9 +59,6 @@ class Rng {
     }
   }
 
-  /// Samples `k` distinct values from [0, n) (k <= n), in random order.
-  std::vector<int> SampleWithoutReplacement(int n, int k);
-
   /// Appends the complete generator state (the four xoshiro words plus the
   /// cached Box-Muller normal) to `out`. A generator restored with
   /// LoadState continues the exact stream — the checkpoint/resume

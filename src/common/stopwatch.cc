@@ -12,6 +12,4 @@ double Stopwatch::ElapsedSeconds() const {
       .count();
 }
 
-double Stopwatch::ElapsedMillis() const { return ElapsedSeconds() * 1000.0; }
-
 }  // namespace causer

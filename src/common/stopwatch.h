@@ -23,9 +23,6 @@ class Stopwatch {
   /// Seconds elapsed since construction or the last Restart().
   double ElapsedSeconds() const;
 
-  /// Milliseconds elapsed since construction or the last Restart().
-  double ElapsedMillis() const;
-
  private:
   std::chrono::steady_clock::time_point start_;
 };

@@ -73,6 +73,16 @@ inline uint64_t HashKeptPair(uint64_t key, int step, int item) {
   return SplitMix64(key ^ SplitMix64(pair));
 }
 
+/// Eq. 9's total effect What_{t,b} of one history step on candidate b: the
+/// zero-seeded sum of W[a][b] over the step's kept items a, in kept order.
+/// `w` is the row-major [v * v] item-level matrix.
+float WhatSum(const std::vector<float>& w, int v, const std::vector<int>& kept,
+              int b) {
+  float what = 0.0f;
+  for (int a : kept) what += w[static_cast<size_t>(a) * v + b];
+  return what;
+}
+
 }  // namespace
 
 CauserModel::CauserModel(const CauserConfig& config)
@@ -414,48 +424,25 @@ Tensor CauserModel::StepWeights(const Tensor& states) {
   return attention_->Weights(states, query);
 }
 
-Tensor CauserModel::CausalEffects(const Encoded& encoded, int candidate,
-                                  bool differentiable) {
+Tensor CauserModel::CausalEffects(const Encoded& encoded, int candidate) {
   const int t = encoded.states.rows();
-  if (!causer_config_.use_causal) {
+  // A fully filtered history falls back to treating all steps equally.
+  if (!causer_config_.use_causal || encoded.fallback) {
     return Tensor::Full(t, 1, 1.0f);
   }
-  if (encoded.fallback && !differentiable) {
-    // Inference with a fully filtered history: treat all steps equally.
-    return Tensor::Full(t, 1, 1.0f);
-  }
-  // In the differentiable fallback case What is computed over the full
-  // (unfiltered) history, so entries of W^c that dropped below epsilon
-  // still receive gradients and can recover — otherwise the filter is a
-  // one-way trap that collapses the graph.
-  if (!differentiable) {
-    std::vector<float> vals(t, 0.0f);
-    const int v = config_.num_items;
-    for (int r = 0; r < t; ++r) {
-      for (int item : encoded.kept_items[r]) {
-        vals[r] += w_cache_[static_cast<size_t>(item) * v + candidate];
-      }
-    }
-    return Tensor::FromData(t, 1, std::move(vals));
-  }
-  Tensor ab =
-      tensor::Transpose(clusterer_->Assignments({candidate}));  // [K, 1]
-  std::vector<Tensor> rows;
-  rows.reserve(t);
+  std::vector<float> vals(t);
   for (int r = 0; r < t; ++r) {
-    Tensor s = tensor::SumCols(
-        clusterer_->Assignments(encoded.kept_items[r]));  // [1, K]
-    rows.push_back(tensor::MatMul(tensor::MatMul(s, graph_->weights()), ab));
+    vals[r] = WhatSum(w_cache_, config_.num_items, encoded.kept_items[r],
+                      candidate);
   }
-  return tensor::ConcatRows(rows);  // [T, 1]
+  return Tensor::FromData(t, 1, std::move(vals));
 }
 
 Tensor CauserModel::CandidateLogit(const Encoded& encoded, int user,
-                                   int candidate,
-                                   bool differentiable_graph) {
+                                   int candidate) {
   if (!encoded.states.defined()) return Tensor::Scalar(0.0f);
   Tensor alpha = StepWeights(encoded.states);                        // [T,1]
-  Tensor what = CausalEffects(encoded, candidate, differentiable_graph);
+  Tensor what = CausalEffects(encoded, candidate);                   // [T,1]
   Tensor coeff = tensor::Mul(alpha, what);                           // [T,1]
   Tensor pooled =
       tensor::MatMul(tensor::Transpose(coeff), encoded.states);      // [1,h]
@@ -490,13 +477,9 @@ void CauserModel::ScoreGroup(const Tensor& states, const Tensor& alpha,
   for (int g = 0; g < g_size; ++g) {
     int b = members[g];
     for (int r = 0; r < t; ++r) {
-      float what = 1.0f;
-      if (kept_steps != nullptr) {
-        what = 0.0f;
-        for (int item : (*kept_steps)[r]) {
-          what += w_cache_[static_cast<size_t>(item) * v + b];
-        }
-      }
+      const float what = kept_steps == nullptr
+                             ? 1.0f
+                             : WhatSum(w_cache_, v, (*kept_steps)[r], b);
       coeff[static_cast<size_t>(r) * g_size + g] = alpha.At(r, 0) * what;
     }
   }
@@ -810,8 +793,7 @@ double CauserModel::TrainEpoch(const std::vector<data::Sequence>& train) {
     logit_rows.reserve(cand.ids.size());
     for (int b : cand.ids) {
       Encoded enc = EncodeFiltered(history, b);
-      logit_rows.push_back(CandidateLogit(enc, ex.sequence->user, b,
-                                          /*differentiable_graph=*/false));
+      logit_rows.push_back(CandidateLogit(enc, ex.sequence->user, b));
     }
     if (update_graph) {
       for (int pos : positives) RecordTransition(history, pos);
@@ -858,7 +840,7 @@ std::vector<double> CauserModel::ExplainScores(
   if (!enc.states.defined()) return out;
 
   Tensor alpha = StepWeights(enc.states);
-  Tensor what = CausalEffects(enc, item, /*differentiable=*/false);
+  Tensor what = CausalEffects(enc, item);
   for (int r = 0; r < enc.states.rows(); ++r) {
     double a = alpha.At(r, 0);
     double w = what.At(r, 0);

@@ -226,17 +226,14 @@ class CauserModel : public models::SequentialRecommender {
   /// Attention weights over the encoded states: [T, 1].
   nn::Tensor StepWeights(const nn::Tensor& states);
 
-  /// Total causal effects What_tb as an autograd column [T, 1]
-  /// (differentiable w.r.t. W^c and the assignment logits when
-  /// `differentiable` is true; numeric constants otherwise).
-  nn::Tensor CausalEffects(const Encoded& encoded, int candidate,
-                           bool differentiable);
+  /// Total causal effects What_tb from the item-level cache as a constant
+  /// column [T, 1]: W^c takes no tape gradient (FitClusterGraph fits it).
+  nn::Tensor CausalEffects(const Encoded& encoded, int candidate);
 
   /// Candidate logit (Eq. 10) given the encoded history; the user
   /// embedding (the u_k conditioning of Eq. 10) is added to the adapted
   /// representation before scoring.
-  nn::Tensor CandidateLogit(const Encoded& encoded, int user, int candidate,
-                            bool differentiable_graph);
+  nn::Tensor CandidateLogit(const Encoded& encoded, int user, int candidate);
 
   CauserConfig causer_config_;
   std::unique_ptr<ItemClusterer> clusterer_;

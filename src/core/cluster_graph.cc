@@ -24,25 +24,6 @@ double ClusterCausalGraph::AcyclicityResidual() const {
   return causal::AcyclicityValue(AsDense());
 }
 
-double ClusterCausalGraph::AccumulatePenaltyGradient(double beta1,
-                                                     double beta2,
-                                                     double lambda) {
-  const int k = wc_.rows();
-  auto& node = *wc_.node();
-  node.EnsureGrad();
-  double h = causal::AcyclicityValueAndAccumulateGrad(
-      node.value.data(), k, /*scale=*/0.0, nullptr);
-  causal::AcyclicityValueAndAccumulateGrad(node.value.data(), k,
-                                           beta1 + beta2 * h,
-                                           node.grad.data());
-  for (size_t i = 0; i < node.value.size(); ++i) {
-    float w = node.value[i];
-    node.grad[i] += static_cast<float>(
-        lambda * (w > 0.0f ? 1.0 : (w < 0.0f ? -1.0 : 0.0)));
-  }
-  return h;
-}
-
 std::vector<float> ClusterCausalGraph::ItemLevelMatrix(
     const Tensor& assignments) const {
   tensor::NoGradGuard guard;
@@ -70,32 +51,6 @@ causal::Graph ClusterCausalGraph::ThresholdedGraph(double threshold) const {
     }
   }
   return g;
-}
-
-double ClusterCausalGraph::ApplyPenaltySteps(double lr, double beta1,
-                                             double beta2, double lambda) {
-  causal::Dense w = AsDense();
-  double h = causal::AcyclicityValue(w);
-  causal::Dense grad = causal::AcyclicityGradient(w);
-  const double coeff = lr * (beta1 + beta2 * h);
-  const double shrink = lr * lambda;
-  auto& node = *wc_.node();
-  const int k = wc_.rows();
-  for (int i = 0; i < k; ++i) {
-    for (int j = 0; j < k; ++j) {
-      float& v = node.value[static_cast<size_t>(i) * k + j];
-      v -= static_cast<float>(coeff * grad(i, j));
-      if (v > shrink) {
-        v -= static_cast<float>(shrink);
-      } else if (v < -shrink) {
-        v += static_cast<float>(shrink);
-      } else {
-        v = 0.0f;
-      }
-    }
-  }
-  ClampNonNegative();
-  return h;
 }
 
 void ClusterCausalGraph::ClampNonNegative() {

@@ -27,13 +27,6 @@ class ClusterCausalGraph : public nn::Module {
   /// Current acyclicity residual h(W^c) = trace(e^{Wc o Wc}) - K.
   double AcyclicityResidual() const;
 
-  /// Adds the augmented-Lagrangian DAG penalty gradient
-  ///   (beta1 + beta2 * h) * grad_h(W^c)
-  /// and the L1 subgradient lambda * sign(W^c) into W^c's gradient buffer.
-  /// Returns the residual h. Call between Backward() and the optimizer
-  /// step for the graph parameters.
-  double AccumulatePenaltyGradient(double beta1, double beta2, double lambda);
-
   /// Item-level causal matrix W = A W^c A^T (Eq. 9), given soft cluster
   /// assignments [V, K]. Plain numeric output (row-major V x V), used for
   /// the per-epoch filter cache (Algorithm 1 line 7).
@@ -44,16 +37,6 @@ class ClusterCausalGraph : public nn::Module {
 
   /// Binarized learned cluster graph: edge i->j iff Wc(i,j) > threshold.
   causal::Graph ThresholdedGraph(double threshold) const;
-
-  /// Applies the DAG and sparsity penalties as direct (non-Adam) steps:
-  /// a plain gradient step of size lr on (beta1 + beta2 h) h's gradient,
-  /// followed by proximal L1 soft-thresholding by lr * lambda and the
-  /// non-negativity projection. Keeping these out of the Adam state is
-  /// essential: Adam normalizes the tiny-but-persistent penalty gradients
-  /// into full-size steps that collapse W^c regardless of the data term.
-  /// Returns the acyclicity residual before the step.
-  double ApplyPenaltySteps(double lr, double beta1, double beta2,
-                           double lambda);
 
   /// Projects W^c onto the non-negative orthant (diagonal forced to 0).
   /// Causal relation strengths are non-negative by construction (the 0/1

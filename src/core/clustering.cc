@@ -44,11 +44,6 @@ Tensor ItemClusterer::EncodeAll() const {
   return enc2_->Forward(tensor::Sigmoid(enc1_->Forward(features_)));
 }
 
-Tensor ItemClusterer::Assignments(const std::vector<int>& items) const {
-  return tensor::SoftmaxRows(tensor::GatherRows(assignment_logits_, items),
-                             eta_);
-}
-
 Tensor ItemClusterer::AssignmentsAll() const {
   return tensor::SoftmaxRows(assignment_logits_, eta_);
 }

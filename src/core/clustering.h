@@ -33,9 +33,6 @@ class ItemClusterer : public nn::Module {
   /// Encoder output for all items: [num_items, cluster_dim].
   Tensor EncodeAll() const;
 
-  /// Soft cluster assignments for the given items: [n, K], rows sum to 1.
-  Tensor Assignments(const std::vector<int>& items) const;
-
   /// Soft cluster assignments for all items: [num_items, K].
   Tensor AssignmentsAll() const;
 

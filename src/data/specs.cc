@@ -88,10 +88,6 @@ std::vector<DatasetSpec> AllPaperSpecs() {
           SpecFor(PaperDataset::kVideo)};
 }
 
-std::string PaperDatasetName(PaperDataset which) {
-  return SpecFor(which).name;
-}
-
 DatasetSpec TinySpec() {
   DatasetSpec s;
   s.name = "Tiny";

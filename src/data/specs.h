@@ -67,9 +67,6 @@ DatasetSpec SpecFor(PaperDataset which);
 /// All five specs, in the paper's Table II order.
 std::vector<DatasetSpec> AllPaperSpecs();
 
-/// Display name ("Epinions", "Foursquare", ...).
-std::string PaperDatasetName(PaperDataset which);
-
 /// A deliberately tiny spec for unit tests (fast to generate and train on).
 DatasetSpec TinySpec();
 

@@ -49,44 +49,30 @@ std::vector<int> MajorityMapping(const std::vector<int>& predicted,
   return mapping;
 }
 
-EdgeRecovery CompareEdges(const causal::Graph& learned,
-                          const causal::Graph& truth) {
-  CAUSER_CHECK(learned.n() == truth.n());
-  EdgeRecovery r;
-  r.learned_edges = learned.NumEdges();
-  r.true_edges = truth.NumEdges();
-  for (int i = 0; i < truth.n(); ++i) {
-    for (int j = 0; j < truth.n(); ++j) {
-      if (learned.Edge(i, j) && truth.Edge(i, j)) ++r.true_positives;
-    }
-  }
-  r.precision = r.learned_edges > 0
-                    ? static_cast<double>(r.true_positives) / r.learned_edges
-                    : 0.0;
-  r.recall = r.true_edges > 0
-                 ? static_cast<double>(r.true_positives) / r.true_edges
-                 : 0.0;
-  r.f1 = r.precision + r.recall > 0
-             ? 2 * r.precision * r.recall / (r.precision + r.recall)
-             : 0.0;
-  return r;
-}
-
 EdgeRecovery CompareEdgesMapped(const causal::Graph& learned,
                                 const causal::Graph& truth,
                                 const std::vector<int>& predicted_clusters,
                                 const std::vector<int>& true_clusters) {
   auto mapping = MajorityMapping(predicted_clusters, true_clusters,
                                  learned.n(), truth.n());
-  EdgeRecovery r;
-  r.true_edges = truth.NumEdges();
+  // The learned graph in the truth's node space: learned edges that map
+  // onto the same true pair count once, so recall cannot exceed 1 when
+  // several learned clusters share a true one.
+  causal::Graph mapped(truth.n());
   for (int i = 0; i < learned.n(); ++i) {
     for (int j = 0; j < learned.n(); ++j) {
       if (!learned.Edge(i, j)) continue;
       int mi = mapping[i], mj = mapping[j];
       if (mi < 0 || mj < 0 || mi == mj) continue;  // unmatchable edge
-      ++r.learned_edges;
-      if (truth.Edge(mi, mj)) ++r.true_positives;
+      mapped.SetEdge(mi, mj);
+    }
+  }
+  EdgeRecovery r;
+  r.learned_edges = mapped.NumEdges();
+  r.true_edges = truth.NumEdges();
+  for (int i = 0; i < truth.n(); ++i) {
+    for (int j = 0; j < truth.n(); ++j) {
+      if (mapped.Edge(i, j) && truth.Edge(i, j)) ++r.true_positives;
     }
   }
   r.precision = r.learned_edges > 0

@@ -30,15 +30,12 @@ struct EdgeRecovery {
   int true_edges = 0;
 };
 
-/// Compares directed edges of `learned` against `truth` (same node space).
-EdgeRecovery CompareEdges(const causal::Graph& learned,
-                          const causal::Graph& truth);
-
 /// Compares a learned cluster graph against the truth after remapping the
 /// learned cluster ids through the majority assignment mapping (learned
 /// and true clusterings use different, permuted ids). Edges whose
 /// endpoints map to the same true cluster are dropped (they have no
-/// counterpart in the reference).
+/// counterpart in the reference); edges that map onto the same true pair
+/// count once.
 EdgeRecovery CompareEdgesMapped(const causal::Graph& learned,
                                 const causal::Graph& truth,
                                 const std::vector<int>& predicted_clusters,

@@ -16,8 +16,7 @@ Ncf::Ncf(const ModelConfig& config) : SequentialRecommender(config) {
   items_gmf_ = std::make_unique<nn::Embedding>(config.num_items, d, rng_);
   users_mlp_ = std::make_unique<nn::Embedding>(config.num_users, d, rng_);
   items_mlp_ = std::make_unique<nn::Embedding>(config.num_items, d, rng_);
-  mlp_ = std::make_unique<nn::Mlp>(std::vector<int>{2 * d, d, d / 2},
-                                   nn::Mlp::Activation::kRelu, rng_);
+  mlp_ = std::make_unique<nn::Mlp>(std::vector<int>{2 * d, d, d / 2}, rng_);
   fusion_ = std::make_unique<nn::Linear>(d + d / 2, 1, rng_);
   RegisterModule(users_gmf_.get());
   RegisterModule(items_gmf_.get());

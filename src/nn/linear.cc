@@ -18,8 +18,7 @@ Tensor Linear::Forward(const Tensor& x) const {
   return y;
 }
 
-Mlp::Mlp(const std::vector<int>& dims, Activation activation, causer::Rng& rng)
-    : activation_(activation) {
+Mlp::Mlp(const std::vector<int>& dims, causer::Rng& rng) {
   CAUSER_CHECK(dims.size() >= 2);
   for (size_t i = 0; i + 1 < dims.size(); ++i) {
     layers_.push_back(std::make_unique<Linear>(dims[i], dims[i + 1], rng));
@@ -31,19 +30,7 @@ Tensor Mlp::Forward(const Tensor& x) const {
   Tensor h = x;
   for (size_t i = 0; i < layers_.size(); ++i) {
     h = layers_[i]->Forward(h);
-    if (i + 1 < layers_.size()) {
-      switch (activation_) {
-        case Activation::kSigmoid:
-          h = tensor::Sigmoid(h);
-          break;
-        case Activation::kRelu:
-          h = tensor::Relu(h);
-          break;
-        case Activation::kTanh:
-          h = tensor::Tanh(h);
-          break;
-      }
-    }
+    if (i + 1 < layers_.size()) h = tensor::Relu(h);
   }
   return h;
 }

@@ -29,21 +29,17 @@ class Linear : public Module {
   Tensor bias_;  // undefined when with_bias == false
 };
 
-/// Multi-layer perceptron with a fixed activation between layers
-/// (sigmoid, matching the paper's encoder/decoder; ReLU optional).
+/// Multi-layer perceptron with ReLU between layers (NCF's MLP tower).
 class Mlp : public Module {
  public:
-  enum class Activation { kSigmoid, kRelu, kTanh };
-
-  /// dims = {in, hidden..., out}; activation applied between layers but not
+  /// dims = {in, hidden..., out}; ReLU applied between layers but not
   /// after the final one.
-  Mlp(const std::vector<int>& dims, Activation activation, causer::Rng& rng);
+  Mlp(const std::vector<int>& dims, causer::Rng& rng);
 
   Tensor Forward(const Tensor& x) const;
 
  private:
   std::vector<std::unique_ptr<Linear>> layers_;
-  Activation activation_;
 };
 
 }  // namespace causer::nn

@@ -44,58 +44,6 @@ double Optimizer::ClipGradNorm(double max_norm) {
   return norm;
 }
 
-Sgd::Sgd(std::vector<Tensor> params, float lr, float momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  if (momentum_ > 0.0f) {
-    velocity_.resize(params_.size());
-    for (size_t i = 0; i < params_.size(); ++i)
-      velocity_[i].assign(params_[i].size(), 0.0f);
-  }
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    auto& node = *params_[i].node();
-    if (node.grad.empty()) continue;
-    if (momentum_ > 0.0f) {
-      for (size_t j = 0; j < node.value.size(); ++j) {
-        velocity_[i][j] = momentum_ * velocity_[i][j] + node.grad[j];
-        node.value[j] -= lr_ * velocity_[i][j];
-      }
-    } else {
-      for (size_t j = 0; j < node.value.size(); ++j)
-        node.value[j] -= lr_ * node.grad[j];
-    }
-  }
-}
-
-void Sgd::SaveState(std::string* out) const {
-  serial::AppendF32(out, lr_);
-  serial::AppendF32(out, momentum_);
-  serial::AppendU64(out, velocity_.size());
-  for (const auto& v : velocity_) serial::AppendFloats(out, v);
-}
-
-bool Sgd::LoadState(serial::Reader& in) {
-  float lr = 0.0f, momentum = 0.0f;
-  uint64_t count = 0;
-  in.ReadF32(&lr);
-  in.ReadF32(&momentum);
-  in.ReadU64(&count);
-  if (!in.ok() || count != velocity_.size()) return false;
-  std::vector<std::vector<float>> staged(velocity_.size());
-  for (size_t i = 0; i < staged.size(); ++i) {
-    if (!in.ReadFloats(&staged[i]) ||
-        staged[i].size() != velocity_[i].size()) {
-      return false;
-    }
-  }
-  lr_ = lr;
-  momentum_ = momentum;
-  velocity_ = std::move(staged);
-  return true;
-}
-
 Adam::Adam(std::vector<Tensor> params, float lr, float beta1, float beta2,
            float eps)
     : Optimizer(std::move(params)),

@@ -46,24 +46,6 @@ class Optimizer {
   std::vector<Tensor> params_;
 };
 
-/// Plain stochastic gradient descent with optional momentum.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Tensor> params, float lr, float momentum = 0.0f);
-
-  void Step() override;
-  void SaveState(std::string* out) const override;
-  bool LoadState(serial::Reader& in) override;
-
-  void set_lr(float lr) { lr_ = lr; }
-  float lr() const { return lr_; }
-
- private:
-  float lr_;
-  float momentum_;
-  std::vector<std::vector<float>> velocity_;
-};
-
 /// Adam (Kingma & Ba, 2015) with bias correction.
 ///
 /// The moment buffers are allocated lazily: parameter i's m/v are zero-

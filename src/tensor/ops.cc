@@ -148,8 +148,6 @@ Tensor Div(const Tensor& a, const Tensor& b) {
       [](float x, float y, float g) { return -g * x / (y * y); });
 }
 
-Tensor Neg(const Tensor& a) { return ScalarMul(a, -1.0f); }
-
 Tensor ScalarMul(const Tensor& a, float c) {
   NodePtr an = Res(a);
   Tensor out = MakeResult(a.rows(), a.cols(), {an}, [an, c](Node& self) {
@@ -235,26 +233,6 @@ Tensor Relu(const Tensor& a) {
                  [](float x, float, float g) { return x > 0.0f ? g : 0.0f; });
 }
 
-Tensor Exp(const Tensor& a) {
-  return UnaryOp(a, [](float x) { return std::exp(x); },
-                 [](float, float y, float g) { return g * y; });
-}
-
-Tensor Log(const Tensor& a, float eps) {
-  NodePtr an = Res(a);
-  Tensor out = MakeResult(a.rows(), a.cols(), {an}, [an, eps](Node& self) {
-    if (!an->requires_grad) return;
-    an->EnsureGrad();
-    for (size_t i = 0; i < self.value.size(); ++i) {
-      float x = std::max(an->value[i], eps);
-      an->grad[i] += self.grad[i] / x;
-    }
-  });
-  for (size_t i = 0; i < out.data().size(); ++i)
-    out.data()[i] = std::log(std::max(an->value[i], eps));
-  return out;
-}
-
 Tensor Sqrt(const Tensor& a) {
   return UnaryOp(
       a, [](float x) { return std::sqrt(std::max(x, 0.0f)); },
@@ -310,8 +288,6 @@ Tensor Sum(const Tensor& a) {
   return out;
 }
 
-Tensor Mean(const Tensor& a) { return ScalarMul(Sum(a), 1.0f / a.size()); }
-
 Tensor SumRows(const Tensor& a) {
   const int n = a.rows(), m = a.cols();
   NodePtr an = Res(a);
@@ -345,23 +321,6 @@ Tensor SumCols(const Tensor& a) {
     for (int r = 0; r < n; ++r) total += an->value[static_cast<size_t>(r) * m + c];
     out.data()[c] = total;
   }
-  return out;
-}
-
-Tensor L1Norm(const Tensor& a) {
-  NodePtr an = Res(a);
-  Tensor out = MakeResult(1, 1, {an}, [an](Node& self) {
-    if (!an->requires_grad) return;
-    an->EnsureGrad();
-    for (size_t i = 0; i < an->value.size(); ++i) {
-      float x = an->value[i];
-      float s = x > 0.0f ? 1.0f : (x < 0.0f ? -1.0f : 0.0f);
-      an->grad[i] += self.grad[0] * s;
-    }
-  });
-  float total = 0.0f;
-  for (float v : an->value) total += std::fabs(v);
-  out.data()[0] = total;
   return out;
 }
 
@@ -477,15 +436,12 @@ Tensor GatherRows(const Tensor& a, const std::vector<int>& indices) {
   return out;
 }
 
-Tensor BceWithLogits(const Tensor& logits, const Tensor& targets,
-                     Reduction reduction) {
+Tensor BceWithLogits(const Tensor& logits, const Tensor& targets) {
   CAUSER_CHECK(logits.rows() == targets.rows() &&
                logits.cols() == targets.cols());
   NodePtr xn = Res(logits);
   NodePtr tn = Res(targets);
-  const float scale =
-      reduction == Reduction::kMean ? 1.0f / logits.size() : 1.0f;
-  Tensor out = MakeResult(1, 1, {xn, tn}, [xn, tn, scale](Node& self) {
+  Tensor out = MakeResult(1, 1, {xn, tn}, [xn, tn](Node& self) {
     // d/dx = sigmoid(x) - t. Targets are treated as constants.
     if (!xn->requires_grad) return;
     xn->EnsureGrad();
@@ -493,7 +449,7 @@ Tensor BceWithLogits(const Tensor& logits, const Tensor& targets,
       float x = xn->value[i];
       float s = x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
                           : std::exp(x) / (1.0f + std::exp(x));
-      xn->grad[i] += self.grad[0] * scale * (s - tn->value[i]);
+      xn->grad[i] += self.grad[0] * (s - tn->value[i]);
     }
   });
   float total = 0.0f;
@@ -502,15 +458,12 @@ Tensor BceWithLogits(const Tensor& logits, const Tensor& targets,
     float t = tn->value[i];
     total += std::max(x, 0.0f) - x * t + std::log1p(std::exp(-std::fabs(x)));
   }
-  out.data()[0] = total * scale;
+  out.data()[0] = total;
   return out;
 }
 
-Tensor MseLoss(const Tensor& a, const Tensor& b, Reduction reduction) {
-  Tensor diff = Sub(a, b);
-  Tensor loss = SquaredNorm(diff);
-  if (reduction == Reduction::kMean) loss = ScalarMul(loss, 1.0f / a.size());
-  return loss;
+Tensor MseLoss(const Tensor& a, const Tensor& b) {
+  return SquaredNorm(Sub(a, b));
 }
 
 }  // namespace causer::tensor

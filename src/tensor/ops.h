@@ -23,9 +23,6 @@ Tensor Mul(const Tensor& a, const Tensor& b);
 /// Elementwise a / b (broadcasting). Caller must ensure b != 0.
 Tensor Div(const Tensor& a, const Tensor& b);
 
-/// -a.
-Tensor Neg(const Tensor& a);
-
 /// a * c for a compile-time constant scalar.
 Tensor ScalarMul(const Tensor& a, float c);
 
@@ -47,12 +44,6 @@ Tensor Tanh(const Tensor& a);
 /// Rectified linear unit, elementwise.
 Tensor Relu(const Tensor& a);
 
-/// Exponential, elementwise.
-Tensor Exp(const Tensor& a);
-
-/// Natural log of max(a, eps) for numerical safety.
-Tensor Log(const Tensor& a, float eps = 1e-12f);
-
 /// Elementwise square root of max(a, 0).
 Tensor Sqrt(const Tensor& a);
 
@@ -63,17 +54,11 @@ Tensor SoftmaxRows(const Tensor& a, float temperature = 1.0f);
 /// Sum of all entries -> [1,1].
 Tensor Sum(const Tensor& a);
 
-/// Mean of all entries -> [1,1].
-Tensor Mean(const Tensor& a);
-
 /// Per-row sum across columns: [n,m] -> [n,1].
 Tensor SumRows(const Tensor& a);
 
 /// Per-column sum across rows: [n,m] -> [1,m].
 Tensor SumCols(const Tensor& a);
-
-/// Sum of absolute values -> [1,1] (L1; subgradient sign(x) at 0 -> 0).
-Tensor L1Norm(const Tensor& a);
 
 /// Sum of squares -> [1,1].
 Tensor SquaredNorm(const Tensor& a);
@@ -91,18 +76,13 @@ Tensor SliceRows(const Tensor& a, int start, int len);
 /// so repeated indices accumulate gradient (embedding lookup semantics).
 Tensor GatherRows(const Tensor& a, const std::vector<int>& indices);
 
-/// Reduction mode for loss ops.
-enum class Reduction { kSum, kMean };
-
-/// Numerically stable binary cross-entropy on logits:
+/// Numerically stable binary cross-entropy on logits, summed over entries:
 ///   loss_i = max(x,0) - x*t + log(1 + exp(-|x|)).
 /// `logits` and `targets` must have identical shapes; targets in [0,1].
-Tensor BceWithLogits(const Tensor& logits, const Tensor& targets,
-                     Reduction reduction = Reduction::kSum);
+Tensor BceWithLogits(const Tensor& logits, const Tensor& targets);
 
-/// Sum of squared differences (optionally mean-reduced).
-Tensor MseLoss(const Tensor& a, const Tensor& b,
-               Reduction reduction = Reduction::kSum);
+/// Sum of squared differences.
+Tensor MseLoss(const Tensor& a, const Tensor& b);
 
 }  // namespace causer::tensor
 

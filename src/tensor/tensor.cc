@@ -1,6 +1,5 @@
 #include "tensor/tensor.h"
 
-#include <sstream>
 #include <unordered_map>
 
 namespace causer::tensor {
@@ -120,22 +119,6 @@ Tensor Tensor::Clone(bool requires_grad) const {
   node->value = node_->value;
   node->requires_grad = requires_grad;
   return Tensor(node);
-}
-
-std::string Tensor::ToString() const {
-  if (!defined()) return "Tensor(null)";
-  std::ostringstream os;
-  os << "Tensor[" << rows() << "x" << cols() << "](";
-  for (int r = 0; r < rows(); ++r) {
-    os << (r == 0 ? "[" : ", [");
-    for (int c = 0; c < cols(); ++c) {
-      if (c) os << ", ";
-      os << At(r, c);
-    }
-    os << "]";
-  }
-  os << ")";
-  return os.str();
 }
 
 }  // namespace causer::tensor

@@ -149,9 +149,6 @@ class Tensor {
   /// Leaf view of the same value buffer contents (copies data, drops graph).
   Tensor Detach() const { return Clone(false); }
 
-  /// Human-readable dump (small tensors only; for debugging and tests).
-  std::string ToString() const;
-
   /// Internal node accessor for the ops/autograd implementation.
   const std::shared_ptr<internal::Node>& node() const { return node_; }
 

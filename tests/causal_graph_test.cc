@@ -65,7 +65,7 @@ TEST(GraphTest, TopologicalOrderRespectsEdges) {
   EXPECT_LT(pos(2), pos(0));
 }
 
-TEST(GraphTest, DescendantsAndAncestors) {
+TEST(GraphTest, Descendants) {
   Graph g(5);
   g.SetEdge(0, 1);
   g.SetEdge(1, 2);
@@ -73,9 +73,6 @@ TEST(GraphTest, DescendantsAndAncestors) {
   auto desc = g.Descendants(0);
   std::sort(desc.begin(), desc.end());
   EXPECT_EQ(desc, (std::vector<int>{1, 2, 3}));
-  auto anc = g.Ancestors(2);
-  std::sort(anc.begin(), anc.end());
-  EXPECT_EQ(anc, (std::vector<int>{0, 1}));
   EXPECT_TRUE(g.Descendants(4).empty());
 }
 

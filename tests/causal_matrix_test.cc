@@ -146,25 +146,5 @@ TEST(AcyclicityTest, GradientZeroOnZeroMatrix) {
   EXPECT_NEAR(grad.MaxAbs(), 0.0, 1e-14);
 }
 
-TEST(AcyclicityTest, FloatBridgeAccumulatesScaledGradient) {
-  std::vector<float> w = {0.0f, 0.5f, 0.5f, 0.0f};  // 2-cycle
-  std::vector<float> grad(4, 1.0f);                 // pre-existing values
-  double h = AcyclicityValueAndAccumulateGrad(w.data(), 2, 2.0, grad.data());
-  EXPECT_GT(h, 0.0);
-  // Diagonal gradient entries stay at the pre-existing 1.0 + 2 * dh/dw_ii.
-  Dense wd(2, 2);
-  wd(0, 1) = 0.5;
-  wd(1, 0) = 0.5;
-  Dense g = AcyclicityGradient(wd);
-  EXPECT_NEAR(grad[1], 1.0f + 2.0 * g(0, 1), 1e-5);
-  EXPECT_NEAR(grad[2], 1.0f + 2.0 * g(1, 0), 1e-5);
-}
-
-TEST(AcyclicityTest, ValueOnlyWhenGradNull) {
-  std::vector<float> w = {0.0f, 1.0f, 0.0f, 0.0f};
-  double h = AcyclicityValueAndAccumulateGrad(w.data(), 2, 1.0, nullptr);
-  EXPECT_NEAR(h, 0.0, 1e-10);  // single edge = DAG
-}
-
 }  // namespace
 }  // namespace causer::causal

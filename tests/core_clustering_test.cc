@@ -49,12 +49,6 @@ TEST(ClustererTest, AssignmentsAreDistributions) {
 
 TEST(ClustererTest, SubsetMatchesFull) {
   auto c = MakeClusterer();
-  tensor::Tensor all = c->AssignmentsAll();
-  tensor::Tensor some = c->Assignments({3, 7});
-  for (int k = 0; k < 4; ++k) {
-    EXPECT_FLOAT_EQ(some.At(0, k), all.At(3, k));
-    EXPECT_FLOAT_EQ(some.At(1, k), all.At(7, k));
-  }
   tensor::Tensor enc_all = c->EncodeAll();
   tensor::Tensor enc_some = c->EncodeItems({5});
   for (int j = 0; j < 8; ++j)

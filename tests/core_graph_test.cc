@@ -1,10 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "causal/acyclicity.h"
 #include "core/cluster_graph.h"
-#include "nn/optimizer.h"
 
 namespace causer::core {
 namespace {
@@ -30,44 +27,6 @@ TEST(ClusterGraphTest, ResidualMatchesAcyclicityDefinition) {
   double h = g.AcyclicityResidual();
   EXPECT_GT(h, 0.0);  // dense positive init is cyclic
   EXPECT_NEAR(h, causal::AcyclicityValue(g.AsDense()), 1e-9);
-}
-
-TEST(ClusterGraphTest, PenaltyDrivesTowardDag) {
-  Rng rng(7);
-  ClusterCausalGraph g(5, rng);
-  nn::Adam opt(g.Parameters(), 0.05f);
-  double h0 = g.AcyclicityResidual();
-  for (int step = 0; step < 200; ++step) {
-    opt.ZeroGrad();
-    g.AccumulatePenaltyGradient(/*beta1=*/1.0, /*beta2=*/4.0,
-                                /*lambda=*/0.01);
-    opt.Step();
-  }
-  double h1 = g.AcyclicityResidual();
-  EXPECT_LT(h1, h0 * 0.2);
-}
-
-TEST(ClusterGraphTest, PenaltyReturnsResidual) {
-  Rng rng(8);
-  ClusterCausalGraph g(3, rng);
-  double reported = g.AccumulatePenaltyGradient(0.5, 0.5, 0.0);
-  EXPECT_NEAR(reported, g.AcyclicityResidual(), 1e-9);
-}
-
-TEST(ClusterGraphTest, L1PenaltyShrinksWeights) {
-  Rng rng(9);
-  ClusterCausalGraph g(4, rng);
-  nn::Adam opt(g.Parameters(), 0.02f);
-  double before = 0;
-  for (float w : g.weights().data()) before += std::fabs(w);
-  for (int step = 0; step < 100; ++step) {
-    opt.ZeroGrad();
-    g.AccumulatePenaltyGradient(0.0, 0.0, /*lambda=*/1.0);
-    opt.Step();
-  }
-  double after = 0;
-  for (float w : g.weights().data()) after += std::fabs(w);
-  EXPECT_LT(after, before);
 }
 
 TEST(ClusterGraphTest, ItemLevelMatrixMatchesFormula) {

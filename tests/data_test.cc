@@ -178,11 +178,11 @@ TEST(GeneratorTest, PaperSpecsAllGenerate) {
 }
 
 TEST(SpecsTest, NamesMatchPaper) {
-  EXPECT_EQ(PaperDatasetName(PaperDataset::kEpinions), "Epinions");
-  EXPECT_EQ(PaperDatasetName(PaperDataset::kFoursquare), "Foursquare");
-  EXPECT_EQ(PaperDatasetName(PaperDataset::kPatio), "Patio");
-  EXPECT_EQ(PaperDatasetName(PaperDataset::kBaby), "Baby");
-  EXPECT_EQ(PaperDatasetName(PaperDataset::kVideo), "Video");
+  EXPECT_EQ(SpecFor(PaperDataset::kEpinions).name, "Epinions");
+  EXPECT_EQ(SpecFor(PaperDataset::kFoursquare).name, "Foursquare");
+  EXPECT_EQ(SpecFor(PaperDataset::kPatio).name, "Patio");
+  EXPECT_EQ(SpecFor(PaperDataset::kBaby).name, "Baby");
+  EXPECT_EQ(SpecFor(PaperDataset::kVideo).name, "Video");
 }
 
 TEST(SpecsTest, RelativeShapesPreserved) {

@@ -61,6 +61,23 @@ TEST(FlagsTest, MalformedNumbersAreUsageErrors) {
               "malformed number for --x");
 }
 
+TEST(FlagsTest, MalformedBoolIsUsageError) {
+  Flags f = ParseList({"--check=ture"});
+  EXPECT_EXIT(f.GetBool("check"), testing::ExitedWithCode(2),
+              "malformed boolean for --check: 'ture'");
+}
+
+TEST(FlagsTest, UnreadFlagIsUnknown) {
+  // A retired or misspelt flag must fail, not run with defaults.
+  Flags f = ParseList({"--data=d", "--serve-replay=2", "--verbose"});
+  f.GetString("data");
+  f.GetBool("verbose");
+  EXPECT_EXIT(f.ExitOnUnknown(), testing::ExitedWithCode(2),
+              "unknown flag --serve-replay");
+  f.GetInt("serve-replay", 0);
+  f.ExitOnUnknown();  // every passed flag has now been read
+}
+
 TEST(FlagsTest, AbsentOrEmptyNumbersStillFallBack) {
   Flags f = ParseList({"--present-empty"});
   EXPECT_EQ(f.GetInt("missing", 7), 7);

@@ -7,29 +7,6 @@
 namespace causer::causal {
 namespace {
 
-TEST(BicScoreTest, TrueParentsBeatEmptyGraph) {
-  Rng rng(12);
-  Graph truth(3);
-  truth.SetEdge(0, 1);
-  truth.SetEdge(1, 2);
-  Dense x = SimulateLinearSem(truth, 600, 1.0, 1.5, rng);
-  EXPECT_GT(BicScore(x, truth), BicScore(x, Graph(3)));
-}
-
-TEST(BicScoreTest, PenaltyReducesScoreOfDenseGraphs) {
-  Rng rng(13);
-  Graph truth(3);
-  truth.SetEdge(0, 1);
-  Dense x = SimulateLinearSem(truth, 300, 1.0, 1.5, rng);
-  Graph dense(3);
-  dense.SetEdge(0, 1);
-  dense.SetEdge(0, 2);
-  dense.SetEdge(1, 2);
-  double mild = BicScore(x, dense, 1.0);
-  double harsh = BicScore(x, dense, 10.0);
-  EXPECT_GT(mild, harsh);
-}
-
 TEST(GesTest, TwoVariableEdgeFound) {
   Rng rng(14);
   Graph truth(2);

@@ -175,8 +175,6 @@ TEST(PdagTest, StateTransitions) {
   EXPECT_TRUE(p.HasDirected(0, 1));
   EXPECT_FALSE(p.HasUndirected(0, 1));
   EXPECT_TRUE(p.Adjacent(1, 0));
-  p.Remove(0, 1);
-  EXPECT_FALSE(p.Adjacent(0, 1));
 }
 
 }  // namespace

@@ -85,7 +85,7 @@ TEST(LinearTest, BatchForward) {
 }
 
 TEST(MlpTest, ForwardShapeAndGrad) {
-  Mlp mlp({4, 8, 2}, Mlp::Activation::kSigmoid, TestRng());
+  Mlp mlp({4, 8, 2}, TestRng());
   Tensor x = Tensor::Full(3, 4, 0.5f);
   Tensor y = mlp.Forward(x);
   EXPECT_EQ(y.rows(), 3);
@@ -262,33 +262,6 @@ TEST(LayerNormTest, GradientsFlow) {
   for (const auto& p : norm.Parameters()) EXPECT_FALSE(p.grad().empty());
 }
 
-TEST(SgdTest, ConvergesOnQuadratic) {
-  Tensor x = Tensor::Full(1, 1, 5.0f, true);
-  Sgd opt({x}, 0.1f);
-  for (int i = 0; i < 200; ++i) {
-    opt.ZeroGrad();
-    Backward(tensor::SquaredNorm(x));
-    opt.Step();
-  }
-  EXPECT_NEAR(x.Item(), 0.0f, 1e-4);
-}
-
-TEST(SgdTest, MomentumAcceleratesDescent) {
-  Tensor a = Tensor::Full(1, 1, 5.0f, true);
-  Tensor b = Tensor::Full(1, 1, 5.0f, true);
-  Sgd plain({a}, 0.01f);
-  Sgd momentum({b}, 0.01f, 0.9f);
-  for (int i = 0; i < 50; ++i) {
-    plain.ZeroGrad();
-    Backward(tensor::SquaredNorm(a));
-    plain.Step();
-    momentum.ZeroGrad();
-    Backward(tensor::SquaredNorm(b));
-    momentum.Step();
-  }
-  EXPECT_LT(std::fabs(b.Item()), std::fabs(a.Item()));
-}
-
 TEST(AdamTest, ConvergesOnQuadratic) {
   Tensor x = Tensor::Full(1, 2, 3.0f, true);
   Adam opt({x}, 0.1f);
@@ -443,7 +416,7 @@ TEST(AdamTest, UnsteppedStateSavesAsZeros) {
 
 TEST(OptimizerTest, ClipGradNormScales) {
   Tensor x = Tensor::FromData(1, 2, {3.0f, 4.0f}, true);
-  Sgd opt({x}, 1.0f);
+  Adam opt({x}, 1.0f);
   Backward(tensor::Sum(tensor::Mul(x, Tensor::FromData(1, 2, {3.0f, 4.0f}))));
   double norm = opt.ClipGradNorm(1.0);  // grad = (3, 4), norm 5
   EXPECT_NEAR(norm, 5.0, 1e-5);
@@ -453,7 +426,7 @@ TEST(OptimizerTest, ClipGradNormScales) {
 
 TEST(OptimizerTest, ClipLeavesSmallGradientsAlone) {
   Tensor x = Tensor::FromData(1, 1, {1.0f}, true);
-  Sgd opt({x}, 1.0f);
+  Adam opt({x}, 1.0f);
   Backward(tensor::ScalarMul(x, 0.5f));
   opt.ClipGradNorm(10.0);
   EXPECT_NEAR(x.GradAt(0, 0), 0.5f, 1e-6);

@@ -83,11 +83,10 @@ TEST(OpsTest, AddBroadcastScalar) {
   EXPECT_EQ(c.At(1, 1), 9.0f);
 }
 
-TEST(OpsTest, SubAndNeg) {
+TEST(OpsTest, Sub) {
   Tensor a = Tensor::FromData(1, 2, {5, 7});
   Tensor b = Tensor::FromData(1, 2, {2, 3});
   EXPECT_EQ(Sub(a, b).At(0, 1), 4.0f);
-  EXPECT_EQ(Neg(a).At(0, 0), -5.0f);
 }
 
 TEST(OpsTest, MulBroadcastColumnScalesRows) {
@@ -156,19 +155,6 @@ TEST(OpsTest, TanhAndRelu) {
   EXPECT_FLOAT_EQ(Relu(b).At(0, 0), 2.0f);
 }
 
-TEST(OpsTest, ExpLog) {
-  Tensor a = Tensor::FromData(1, 2, {0.0f, 1.0f});
-  EXPECT_FLOAT_EQ(Exp(a).At(0, 0), 1.0f);
-  EXPECT_NEAR(Exp(a).At(0, 1), 2.718281828f, 1e-5);
-  Tensor b = Tensor::FromData(1, 1, {std::exp(2.0f)});
-  EXPECT_NEAR(Log(b).At(0, 0), 2.0f, 1e-5);
-}
-
-TEST(OpsTest, LogClampsAtEps) {
-  Tensor zero = Tensor::FromData(1, 1, {0.0f});
-  EXPECT_TRUE(std::isfinite(Log(zero).At(0, 0)));
-}
-
 TEST(OpsTest, SoftmaxRowsSumToOne) {
   Tensor a = Tensor::FromData(2, 3, {1, 2, 3, -5, 0, 5});
   Tensor s = SoftmaxRows(a);
@@ -201,7 +187,6 @@ TEST(OpsTest, SoftmaxStableForLargeLogits) {
 TEST(OpsTest, Reductions) {
   Tensor a = Tensor::FromData(2, 3, {1, 2, 3, 4, 5, 6});
   EXPECT_FLOAT_EQ(Sum(a).Item(), 21.0f);
-  EXPECT_FLOAT_EQ(Mean(a).Item(), 3.5f);
   Tensor rows = SumRows(a);
   EXPECT_FLOAT_EQ(rows.At(0, 0), 6.0f);
   EXPECT_FLOAT_EQ(rows.At(1, 0), 15.0f);
@@ -210,9 +195,8 @@ TEST(OpsTest, Reductions) {
   EXPECT_FLOAT_EQ(cols.At(0, 2), 9.0f);
 }
 
-TEST(OpsTest, Norms) {
+TEST(OpsTest, SquaredNorm) {
   Tensor a = Tensor::FromData(1, 3, {3.0f, -4.0f, 0.0f});
-  EXPECT_FLOAT_EQ(L1Norm(a).Item(), 7.0f);
   EXPECT_FLOAT_EQ(SquaredNorm(a).Item(), 25.0f);
 }
 
@@ -266,18 +250,10 @@ TEST(OpsTest, BceWithLogitsStableForExtremeLogits) {
   EXPECT_NEAR(loss, 0.0f, 1e-4);
 }
 
-TEST(OpsTest, BceMeanReduction) {
-  Tensor x = Tensor::FromData(2, 1, {0.0f, 0.0f});
-  Tensor t = Tensor::FromData(2, 1, {1.0f, 0.0f});
-  EXPECT_NEAR(BceWithLogits(x, t, Reduction::kMean).Item(), std::log(2.0f),
-              1e-5);
-}
-
 TEST(OpsTest, MseLossValues) {
   Tensor a = Tensor::FromData(1, 2, {1.0f, 2.0f});
   Tensor b = Tensor::FromData(1, 2, {3.0f, 2.0f});
   EXPECT_FLOAT_EQ(MseLoss(a, b).Item(), 4.0f);
-  EXPECT_FLOAT_EQ(MseLoss(a, b, Reduction::kMean).Item(), 2.0f);
 }
 
 TEST(NoGradTest, GuardDisablesGraph) {

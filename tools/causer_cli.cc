@@ -44,6 +44,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -96,8 +97,8 @@ int PrintHelp() {
       "  evaluate   Evaluate a trained model on the leave-last-out split.\n"
       "  explain    Print a recommendation with per-step causal "
       "explanation.\n"
-      "  serve      Replay test-split requests through the online serving "
-      "engine and report latency/QPS.\n"
+      "  serve      Serve recommendations over TCP until SIGINT/SIGTERM "
+      "(hot reload on SIGHUP).\n"
       "\n"
       "generate flags:\n"
       "  --spec=NAME          Dataset spec: tiny, epinions, foursquare, "
@@ -287,27 +288,42 @@ data::DatasetSpec SpecByName(const std::string& name, uint64_t seed) {
   return spec;
 }
 
-core::CauserConfig ConfigFromFlags(const Flags& flags,
-                                   const data::Dataset& dataset) {
-  auto backbone = flags.GetString("backbone", "gru") == "lstm"
-                      ? core::Backbone::kLstm
-                      : core::Backbone::kGru;
-  core::CauserConfig config = core::DefaultCauserConfig(
-      dataset, backbone, static_cast<uint64_t>(flags.GetInt("seed", 7)));
-  config.num_clusters = flags.GetInt("clusters", config.num_clusters);
-  config.epsilon =
-      static_cast<float>(flags.GetDouble("epsilon", config.epsilon));
-  config.eta = static_cast<float>(flags.GetDouble("eta", config.eta));
-  config.lambda =
-      static_cast<float>(flags.GetDouble("lambda", config.lambda));
-  return config;
+/// Reads the model architecture flags up front (so the unknown-flag check
+/// can run before any work); the returned function applies them over a
+/// loaded dataset's defaults.
+std::function<core::CauserConfig(const data::Dataset&)> ConfigFromFlags(
+    const Flags& flags) {
+  const auto backbone = flags.GetString("backbone", "gru") == "lstm"
+                            ? core::Backbone::kLstm
+                            : core::Backbone::kGru;
+  const auto seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
+  // An absent or empty --clusters keeps the dataset's default K.
+  const bool set_clusters = !flags.GetString("clusters").empty();
+  const int clusters = flags.GetInt("clusters", 0);
+  const core::CauserConfig defaults;
+  const auto epsilon =
+      static_cast<float>(flags.GetDouble("epsilon", defaults.epsilon));
+  const auto eta = static_cast<float>(flags.GetDouble("eta", defaults.eta));
+  const auto lambda =
+      static_cast<float>(flags.GetDouble("lambda", defaults.lambda));
+  return [=](const data::Dataset& dataset) {
+    core::CauserConfig config =
+        core::DefaultCauserConfig(dataset, backbone, seed);
+    if (set_clusters) config.num_clusters = clusters;
+    config.epsilon = epsilon;
+    config.eta = eta;
+    config.lambda = lambda;
+    return config;
+  };
 }
 
 int CmdGenerate(const Flags& flags) {
   std::string out = flags.GetString("out");
+  const std::string spec_name = flags.GetString("spec", "tiny");
+  const auto seed = static_cast<uint64_t>(flags.GetInt("seed", 0));
+  flags.ExitOnUnknown();
   if (out.empty()) return Usage();
-  auto spec = SpecByName(flags.GetString("spec", "tiny"),
-                         static_cast<uint64_t>(flags.GetInt("seed", 0)));
+  auto spec = SpecByName(spec_name, seed);
   data::Dataset dataset = data::MakeDataset(spec);
   if (!data::SaveDataset(dataset, out)) {
     std::fprintf(stderr, "failed to write %s\n", out.c_str());
@@ -323,7 +339,21 @@ int CmdGenerate(const Flags& flags) {
 int CmdTrain(const Flags& flags) {
   std::string data_dir = flags.GetString("data");
   std::string model_out = flags.GetString("model-out");
+  const auto model_config = ConfigFromFlags(flags);
+  models::TrainConfig tc;
+  tc.max_epochs = flags.GetInt("epochs", 12);
+  tc.patience = flags.GetInt("patience", 3);
+  tc.verbose = flags.GetBool("verbose", false);
+  core::CheckpointOptions copts;
+  copts.dir = flags.GetString("checkpoint-dir");
+  copts.every = flags.GetInt("checkpoint-every", 1);
+  copts.resume = flags.GetBool("resume", false);
+  flags.ExitOnUnknown();
   if (data_dir.empty() || model_out.empty()) return Usage();
+  if (copts.dir.empty() && copts.resume) {
+    std::fprintf(stderr, "--resume requires --checkpoint-dir\n");
+    return 2;
+  }
   data::Dataset dataset;
   if (!data::LoadDataset(data_dir, &dataset)) {
     std::fprintf(stderr, "failed to load dataset from %s\n",
@@ -331,21 +361,9 @@ int CmdTrain(const Flags& flags) {
     return 1;
   }
   data::Split split = data::LeaveLastOut(dataset);
-  core::CauserModel model(ConfigFromFlags(flags, dataset));
-  models::TrainConfig tc;
-  tc.max_epochs = flags.GetInt("epochs", 12);
-  tc.patience = flags.GetInt("patience", 3);
-  tc.verbose = flags.GetBool("verbose", false);
-  std::string ckpt_dir = flags.GetString("checkpoint-dir");
-  if (!ckpt_dir.empty()) {
-    core::CheckpointOptions copts;
-    copts.dir = ckpt_dir;
-    copts.every = flags.GetInt("checkpoint-every", 1);
-    copts.resume = flags.GetBool("resume", false);
-    if (!core::InstallCheckpointHooks(copts, model, &tc)) return 1;
-  } else if (flags.GetBool("resume", false)) {
-    std::fprintf(stderr, "--resume requires --checkpoint-dir\n");
-    return 2;
+  core::CauserModel model(model_config(dataset));
+  if (!copts.dir.empty() && !core::InstallCheckpointHooks(copts, model, &tc)) {
+    return 1;
   }
   auto result = core::TrainCauser(model, split, tc);
   std::printf("trained %s for %d epochs, best validation NDCG@5 %.4f\n",
@@ -365,11 +383,14 @@ int CmdTrain(const Flags& flags) {
 int CmdEvaluate(const Flags& flags) {
   std::string data_dir = flags.GetString("data");
   std::string model_path = flags.GetString("model");
+  const auto model_config = ConfigFromFlags(flags);
+  const int z = flags.GetInt("z", 5);
+  flags.ExitOnUnknown();
   if (data_dir.empty() || model_path.empty()) return Usage();
   data::Dataset dataset;
   if (!data::LoadDataset(data_dir, &dataset)) return 1;
   data::Split split = data::LeaveLastOut(dataset);
-  core::CauserModel model(ConfigFromFlags(flags, dataset));
+  core::CauserModel model(model_config(dataset));
   if (!nn::LoadParameters(model, model_path)) {
     std::fprintf(stderr,
                  "failed to load %s (architecture flags must match "
@@ -378,7 +399,6 @@ int CmdEvaluate(const Flags& flags) {
     return 1;
   }
   model.OnParametersRestored();
-  int z = flags.GetInt("z", 5);
   auto result = eval::Evaluate(models::MakeScorer(model), split.test, z);
   std::printf("test F1@%d %.4f   NDCG@%d %.4f   (%zu instances)\n", z,
               result.f1, z, result.ndcg, split.test.size());
@@ -388,16 +408,18 @@ int CmdEvaluate(const Flags& flags) {
 int CmdExplain(const Flags& flags) {
   std::string data_dir = flags.GetString("data");
   std::string model_path = flags.GetString("model");
+  const auto model_config = ConfigFromFlags(flags);
+  const int user = flags.GetInt("user", 0);
+  const int top = flags.GetInt("top", 3);
+  flags.ExitOnUnknown();
   if (data_dir.empty() || model_path.empty()) return Usage();
   data::Dataset dataset;
   if (!data::LoadDataset(data_dir, &dataset)) return 1;
   data::Split split = data::LeaveLastOut(dataset);
-  core::CauserModel model(ConfigFromFlags(flags, dataset));
+  core::CauserModel model(model_config(dataset));
   if (!nn::LoadParameters(model, model_path)) return 1;
   model.OnParametersRestored();
 
-  int user = flags.GetInt("user", 0);
-  int top = flags.GetInt("top", 3);
   const data::EvalInstance* instance = nullptr;
   for (const auto& inst : split.test) {
     if (inst.user == user) {
@@ -431,14 +453,37 @@ int CmdExplain(const Flags& flags) {
 int CmdServe(const Flags& flags) {
   std::string data_dir = flags.GetString("data");
   std::string model_path = flags.GetString("model");
+  const auto model_config_for = ConfigFromFlags(flags);
+  serve::ServingConfig sc;
+  sc.batch_max = flags.GetInt("batch-max", 32);
+  sc.top_k = flags.GetInt("top", 10);
+  sc.max_sessions = flags.GetInt("max-sessions", 0);
+  const std::string quantize = flags.GetString("quantize", "none");
+  sc.quantize_int8 = quantize == "int8";
+  sc.rerank_k = flags.GetInt("rerank-k", 2048);
+  sc.score_shards = flags.GetInt("score-shards", 1);
+  const std::string watch_dir = flags.GetString("reload-watch");
+  const double poll_seconds =
+      std::max(50, flags.GetInt("reload-poll-ms", 500)) * 1e-3;
+  serve::ServerConfig server_config;
+  server_config.port = flags.GetInt("serve-port", 0);
+  server_config.deadline_ms = flags.GetInt("deadline-ms", 0);
+  server_config.queue_depth = flags.GetInt("queue-depth", 256);
+  server_config.idle_timeout_ms = flags.GetInt("conn-idle-timeout-ms", 30000);
+  flags.ExitOnUnknown();
   if (data_dir.empty() || model_path.empty()) return Usage();
+  if (quantize != "int8" && quantize != "none") {
+    std::fprintf(stderr, "unknown --quantize '%s' (expected none or int8)\n",
+                 quantize.c_str());
+    return 2;
+  }
   data::Dataset dataset;
   if (!data::LoadDataset(data_dir, &dataset)) return 1;
   // The registry owns model loading: it accepts both plain weight files
   // and PR 4 training checkpoints (--reload-watch directories hold the
   // latter), validating before publishing so a bad file never replaces a
   // serving model.
-  const core::CauserConfig model_config = ConfigFromFlags(flags, dataset);
+  const core::CauserConfig model_config = model_config_for(dataset);
   serve::ModelRegistry registry([model_config] {
     return std::make_unique<core::CauserModel>(model_config);
   });
@@ -452,26 +497,8 @@ int CmdServe(const Flags& flags) {
     return 1;
   }
 
-  serve::ServingConfig sc;
-  sc.batch_max = flags.GetInt("batch-max", 32);
-  sc.top_k = flags.GetInt("top", 10);
-  sc.max_sessions = flags.GetInt("max-sessions", 0);
-  const std::string quantize = flags.GetString("quantize", "none");
-  if (quantize == "int8") {
-    sc.quantize_int8 = true;
-  } else if (quantize != "none") {
-    std::fprintf(stderr, "unknown --quantize '%s' (expected none or int8)\n",
-                 quantize.c_str());
-    return 2;
-  }
-  sc.rerank_k = flags.GetInt("rerank-k", 2048);
-  sc.score_shards = flags.GetInt("score-shards", 1);
   serve::ServingEngine engine(initial->model, sc);
   initial.reset();  // the engine owns version 1 now; a reload can free it
-
-  const std::string watch_dir = flags.GetString("reload-watch");
-  const double poll_seconds =
-      std::max(50, flags.GetInt("reload-poll-ms", 500)) * 1e-3;
 
   // One reload at a time, whatever triggered it (SIGHUP on the serve
   // loop, kReload frames on reader threads, the watch-dir poll).
@@ -514,12 +541,7 @@ int CmdServe(const Flags& flags) {
     return checkpoints.back() != last_loaded;
   };
 
-  serve::ServerConfig server_config;
-  server_config.port = flags.GetInt("serve-port", 0);
-  server_config.deadline_ms = flags.GetInt("deadline-ms", 0);
-  server_config.queue_depth = flags.GetInt("queue-depth", 256);
   server_config.workers = std::max(1, DefaultThreads());
-  server_config.idle_timeout_ms = flags.GetInt("conn-idle-timeout-ms", 30000);
   server_config.on_reload = reload_now;
   serve::Server server(engine, server_config);
   if (!server.Start()) {

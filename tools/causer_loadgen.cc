@@ -207,6 +207,7 @@ int main(int argc, char** argv) {
   const double drain_wait_s =
       std::max(0.5, flags.GetDouble("drain-wait-s", 5.0));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  flags.ExitOnUnknown();
   const long total =
       std::max<long>(1, std::lround(qps * std::max(0.1, duration_s)));
   if (check && items <= 0) {
