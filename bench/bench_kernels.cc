@@ -35,10 +35,10 @@
 // speed gate are timed interleaved by bench::TimePair, and the gate
 // compares the median of the per-pair ratios with its threshold.
 //
-// Writes a BENCH_kernels.json report (path = argv[last], default
-// ./BENCH_kernels.json) including the resolved ISA selection and the
-// per-tier GFLOP/s rows (at the median call) the docs/KERNELS.md table is
-// refreshed from.
+// Writes a BENCH_kernels.json report (path = the one positional argument,
+// default ./BENCH_kernels.json; any other flag or argument exits 2)
+// including the resolved ISA selection and the per-tier GFLOP/s rows (at
+// the median call) the docs/KERNELS.md table is refreshed from.
 //
 // `--smoke` shrinks the timed work for CI and turns three more checks into
 // the exit code: packed must not be slower than naive on the large
@@ -513,15 +513,10 @@ TrainResult RunTraining(bool smoke) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_kernels.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") {
-      smoke = true;
-    } else {
-      out_path = argv[i];
-    }
-  }
+  const bench::BenchArgs args =
+      bench::ParseBenchArgs(argc, argv, "BENCH_kernels.json");
+  const bool smoke = args.smoke;
+  const std::string& out_path = args.report;
 
   bench::PrintHeader(
       "Kernel & memory engine: packed GEMM, heap and fused TopK, sharded "

@@ -11,10 +11,10 @@
 //
 // Epochs and evaluation passes are timed by bench::TimeCalls (one warm-up
 // call, then N timed calls); speedups compare medians. Writes a
-// BENCH_parallel.json report (path = argv[1], default
-// ./BENCH_parallel.json). Speedups are relative to threads=1 on the same
-// machine; on single-core hosts expect ~1x (the report records the core
-// count so the numbers can be judged in context).
+// BENCH_parallel.json report (path = the one positional argument, default
+// ./BENCH_parallel.json; any flag exits 2). Speedups are relative to
+// threads=1 on the same machine; on single-core hosts expect ~1x (the
+// report records the core count so the numbers can be judged in context).
 
 #include <cstdio>
 #include <string>
@@ -111,7 +111,9 @@ ThreadRun RunAtThreadCount(int threads) {
 
 int main(int argc, char** argv) {
   const std::string out_path =
-      argc > 1 ? argv[1] : std::string("BENCH_parallel.json");
+      bench::ParseBenchArgs(argc, argv, "BENCH_parallel.json",
+                            /*has_smoke=*/false)
+          .report;
   bench::PrintHeader(
       "Thread-pool scaling: mini-batch training + sharded evaluation",
       "Wang et al., ICDE 2023 (Table IV workload; engine addition)");

@@ -18,7 +18,8 @@
 // reload-phase response bit-identical to the weights of the version
 // stamped on it; QPS > 0; and (full runs only — smoke timings are noise)
 // reload-phase p99 within 2x of steady-state p99. Writes a
-// BENCH_server.json report (path = argv[last], default ./BENCH_server.json).
+// BENCH_server.json report (path = the one positional argument, default
+// ./BENCH_server.json). Any other flag or argument exits 2.
 //
 // `--smoke` shrinks the request count for CI.
 
@@ -60,15 +61,10 @@ models::ModelConfig BenchModelConfig(uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_server.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") {
-      smoke = true;
-    } else {
-      out_path = argv[i];
-    }
-  }
+  const bench::BenchArgs args =
+      bench::ParseBenchArgs(argc, argv, "BENCH_server.json");
+  const bool smoke = args.smoke;
+  const std::string& out_path = args.report;
 
   bench::PrintHeader(
       "Network serving: TCP front-end over the batched engine",

@@ -3,10 +3,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/stopwatch.h"
 #include "common/table.h"
 #include "core/trainer.h"
@@ -26,6 +28,33 @@
 #include "models/vtrnn.h"
 
 namespace causer::bench {
+
+/// A bench's command line: `[--smoke] [report.json]`.
+struct BenchArgs {
+  bool smoke = false;
+  std::string report;  ///< JSON report path
+};
+
+/// Parses a bench's command line through causer::Flags. `--smoke` is read
+/// only when `has_smoke`; the report path is the single optional
+/// positional (default `default_report`). Any other flag, such as the typo
+/// `--smok`, or a second positional exits 2 before the bench does work.
+inline BenchArgs ParseBenchArgs(int argc, char** argv,
+                                const std::string& default_report,
+                                bool has_smoke = true) {
+  const Flags flags = Flags::Parse(argc, argv, {"smoke"});
+  BenchArgs args;
+  if (has_smoke) args.smoke = flags.GetBool("smoke");
+  flags.ExitOnUnknown();
+  if (flags.positional().size() > 1) {
+    std::fprintf(stderr, "usage: %s%s [report.json]\n", argv[0],
+                 has_smoke ? " [--smoke]" : "");
+    std::exit(2);
+  }
+  args.report =
+      flags.positional().empty() ? default_report : flags.positional()[0];
+  return args;
+}
 
 /// Evaluation result of one trained model on a test split.
 struct ModelRun {

@@ -5,7 +5,8 @@
 
 namespace causer {
 
-Flags Flags::Parse(int argc, const char* const* argv) {
+Flags Flags::Parse(int argc, const char* const* argv,
+                   const std::set<std::string>& switches) {
   Flags flags;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -17,7 +18,8 @@ Flags Flags::Parse(int argc, const char* const* argv) {
     size_t eq = body.find('=');
     if (eq != std::string::npos) {
       flags.values_[body.substr(0, eq)] = body.substr(eq + 1);
-    } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+    } else if (switches.count(body) == 0 && i + 1 < argc &&
+               std::string(argv[i + 1]).rfind("--", 0) != 0) {
       flags.values_[body] = argv[++i];
     } else {
       flags.values_[body] = "";

@@ -15,8 +15,11 @@ class Flags {
  public:
   /// Parses argv (argv[0] is skipped). Every flag is kept; ExitOnUnknown
   /// rejects the ones no getter asked for. A later occurrence of a flag
-  /// overrides an earlier one.
-  static Flags Parse(int argc, const char* const* argv);
+  /// overrides an earlier one. A flag named in `switches` never takes the
+  /// next argument as its value ("--smoke out.json" is the switch plus a
+  /// positional); it still accepts --name=value.
+  static Flags Parse(int argc, const char* const* argv,
+                     const std::set<std::string>& switches = {});
 
   /// True when --name was present (with or without a value).
   bool Has(const std::string& name) const;

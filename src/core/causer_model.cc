@@ -355,25 +355,22 @@ Tensor CauserModel::RunBackbone(
 
 void CauserModel::BackboneStep(const std::vector<int>& items,
                                std::vector<float>* h, std::vector<float>* c) {
+  // The step input stays on the tape; the cell steps on raw buffers from
+  // and into the group's vectors (empty: the zero initial state), with the
+  // floats the chained RunBackbone recurrence computes.
   tensor::NoGradGuard guard;
   tensor::ArenaScope arena_scope;
-  const int hd = config_.hidden_dim;
   Tensor input = StepInput(items);
+  const float* x = input.data().data();
+  const float* prev_h = h->empty() ? nullptr : h->data();
+  h->resize(config_.hidden_dim);
   if (gru_) {
-    Tensor prev =
-        h->empty() ? gru_->InitialState() : Tensor::FromData(1, hd, *h);
-    // Feeding the cell the copied-out floats of the previous state yields
-    // the same values the chained RunBackbone recurrence computes.
-    Tensor next = gru_->Forward(input, prev);
-    h->assign(next.data().begin(), next.data().end());
-  } else {
-    nn::LstmState prev;
-    prev.h = h->empty() ? lstm_->InitialState().h : Tensor::FromData(1, hd, *h);
-    prev.c = c->empty() ? lstm_->InitialState().c : Tensor::FromData(1, hd, *c);
-    nn::LstmState next = lstm_->Forward(input, prev);
-    h->assign(next.h.data().begin(), next.h.data().end());
-    c->assign(next.c.data().begin(), next.c.data().end());
+    gru_->Step(x, prev_h, h->data());
+    return;
   }
+  const float* prev_c = c->empty() ? nullptr : c->data();
+  c->resize(config_.hidden_dim);
+  lstm_->Step(x, prev_h, prev_c, h->data(), c->data());
 }
 
 CauserModel::Encoded CauserModel::EncodeFiltered(

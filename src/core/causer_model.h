@@ -194,9 +194,10 @@ class CauserModel : public models::SequentialRecommender {
   /// the optional free input embedding, mean-pooled over the items).
   nn::Tensor StepInput(const std::vector<int>& items);
 
-  /// Advances the copied-out recurrent state (*h, and *c for the LSTM
-  /// backbone; empty = initial state) by one step over `items`. Produces
-  /// the same floats as the corresponding chained RunBackbone step.
+  /// Advances the serve fold's recurrent state (*h, and *c for the LSTM
+  /// backbone; empty = initial state) in place by one raw cell step over
+  /// `items`. Produces the same floats as the corresponding chained
+  /// RunBackbone step.
   void BackboneStep(const std::vector<int>& items, std::vector<float>* h,
                     std::vector<float>* c);
 

@@ -1,8 +1,7 @@
 #include "models/gru4rec.h"
 
 #include "common/log.h"
-#include "tensor/arena.h"
-#include "tensor/ops.h"
+#include "tensor/kernels.h"
 
 namespace causer::models {
 
@@ -33,8 +32,7 @@ Tensor Gru4Rec::Represent(int user, const std::vector<data::Step>& history) {
 }
 
 /// Incremental session: the window plus the GRU hidden state after
-/// consuming its first `folded` steps. The hidden floats are copied out of
-/// each step's arena, so the state owns plain heap storage.
+/// consuming its first `folded` steps, in plain heap storage.
 class Gru4Rec::State : public SessionState {
  public:
   using SessionState::SessionState;
@@ -45,44 +43,46 @@ std::unique_ptr<SessionState> Gru4Rec::NewSessionState(int user) {
   return std::make_unique<State>(user);
 }
 
-Tensor Gru4Rec::RepFromState(SessionState& state) {
+void Gru4Rec::RepFromState(SessionState& state, float* out) {
   auto* s = dynamic_cast<State*>(&state);
   CAUSER_CHECK(s != nullptr);
   if (s->folded == 0) s->h.clear();
-  Tensor h = s->h.empty() ? cell_->InitialState()
-                          : Tensor::FromData(1, cell_->hidden_dim(), s->h);
-  // Same cell applications Represent chains (empty steps skipped), so
-  // resuming from the copied-out floats yields bit-identical values.
-  bool stepped = false;
+  // The cell applications Represent chains (empty steps skipped), each the
+  // raw twin of its tape op, so the folded floats are Represent's.
+  std::vector<float> x(in_items_->dim());
   for (size_t t = s->folded; t < s->window.size(); ++t) {
     if (s->window[t].items.empty()) continue;
-    h = cell_->Forward(StepEmbedding(*in_items_, s->window[t]), h);
-    stepped = true;
+    StepEmbeddingRow(*in_items_, s->window[t], x.data());
+    const float* prev = s->h.empty() ? nullptr : s->h.data();
+    s->h.resize(cell_->hidden_dim());
+    cell_->Step(x.data(), prev, s->h.data());
   }
-  if (stepped) s->h.assign(h.data().begin(), h.data().end());
   s->folded = s->window.size();
-  return out_proj_->Forward(h);
+  if (s->h.empty()) {  // only empty steps: Represent projects InitialState
+    const std::vector<float> zeros(cell_->hidden_dim(), 0.0f);
+    out_proj_->ForwardRow(zeros.data(), out);
+  } else {
+    out_proj_->ForwardRow(s->h.data(), out);
+  }
 }
 
 std::vector<float> Gru4Rec::ScoreFromState(SessionState& state) {
-  tensor::NoGradGuard guard;
+  std::vector<float> out(config_.num_items, 0.0f);
   // ScoreAll returns zeros for an empty history without running the
   // backbone; match it exactly.
-  if (state.window.empty()) return std::vector<float>(config_.num_items, 0.0f);
-  tensor::ArenaScope arena_scope;
-  Tensor rep = RepFromState(state);
-  Tensor logits = tensor::MatMul(out_items_->weight(), tensor::Transpose(rep));
-  std::vector<float> out(config_.num_items);
-  for (int i = 0; i < config_.num_items; ++i) out[i] = logits.At(i, 0);
+  if (state.window.empty()) return out;
+  std::vector<float> rep(config_.embedding_dim);
+  RepFromState(state, rep.data());
+  // ScoreAll's MatMul(items, rep^T): the same zero-seeded kernel call.
+  tensor::kernels::MatMulAdd(out_items_->weight().data().data(), rep.data(),
+                             out.data(), config_.num_items,
+                             config_.embedding_dim, 1, false, false);
   return out;
 }
 
 bool Gru4Rec::StateRep(SessionState& state, float* out) {
   if (state.window.empty()) return false;  // ScoreAll's all-zeros special case
-  tensor::NoGradGuard guard;
-  tensor::ArenaScope arena_scope;
-  Tensor rep = RepFromState(state);
-  for (int j = 0; j < rep.cols(); ++j) out[j] = rep.At(0, j);
+  RepFromState(state, out);
   return true;
 }
 

@@ -20,7 +20,8 @@ class Gru4Rec : public RepresentationModel {
   // Incremental serving (docs/PERFORMANCE.md): the session caches the GRU
   // hidden state over its window, so scoring after an append costs one
   // cell step per new step instead of a full backbone replay (a slid
-  // window re-folds all of it), and ScoreFromState stays bit-identical to
+  // window re-folds all of it). The fold runs GruCell::Step on raw buffers
+  // and builds no tape; ScoreFromState stays bit-identical to the tape
   // ScoreAll over the appended history.
   std::unique_ptr<SessionState> NewSessionState(int user) override;
   std::vector<float> ScoreFromState(SessionState& state) override;
@@ -38,9 +39,9 @@ class Gru4Rec : public RepresentationModel {
  private:
   class State;
   /// Folds the window steps the state's hidden state has not consumed yet
-  /// (all of them after a slide) and returns its [1, embedding_dim]
-  /// scoring representation.
-  nn::Tensor RepFromState(SessionState& state);
+  /// (all of them after a slide) and writes its [embedding_dim] scoring
+  /// representation to `out`.
+  void RepFromState(SessionState& state, float* out);
 };
 
 }  // namespace causer::models

@@ -194,6 +194,30 @@ Tensor RepresentationModel::StepEmbedding(const nn::Embedding& emb,
                            1.0f / static_cast<float>(rows.rows()));
 }
 
+void RepresentationModel::StepEmbeddingRow(const nn::Embedding& emb,
+                                           const data::Step& step,
+                                           float* out) const {
+  const size_t k = step.items.size();
+  CAUSER_CHECK(k > 0);
+  const int d = emb.dim();
+  const float* table = emb.weight().data().data();
+  auto row = [&](int item) {
+    CAUSER_CHECK(item >= 0 && item < emb.num_embeddings());
+    return table + static_cast<size_t>(item) * d;
+  };
+  if (k == 1) {
+    std::copy(row(step.items[0]), row(step.items[0]) + d, out);
+    return;
+  }
+  std::fill(out, out + d, 0.0f);
+  for (int item : step.items) {
+    const float* r = row(item);
+    for (int j = 0; j < d; ++j) out[j] += r[j];
+  }
+  const float scale = 1.0f / static_cast<float>(k);
+  for (int j = 0; j < d; ++j) out[j] = scale * out[j];
+}
+
 std::vector<float> RepresentationModel::ScoreAll(
     int user, const std::vector<data::Step>& history) {
   tensor::NoGradGuard guard;

@@ -258,6 +258,12 @@ class RepresentationModel : public SequentialRecommender {
   nn::Tensor StepEmbedding(const nn::Embedding& emb,
                            const data::Step& step) const;
 
+  /// Tape-free StepEmbedding into out [emb.dim()], with its floats: the
+  /// row itself for one item, else the zero-seeded sum of the rows in item
+  /// order scaled by 1/k.
+  void StepEmbeddingRow(const nn::Embedding& emb, const data::Step& step,
+                        float* out) const;
+
   /// Must be called at the end of the derived constructor, after all
   /// parameters are registered.
   void FinalizeOptimizer();

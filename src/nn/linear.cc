@@ -1,6 +1,9 @@
 #include "nn/linear.h"
 
+#include <algorithm>
+
 #include "nn/init.h"
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 
 namespace causer::nn {
@@ -16,6 +19,15 @@ Tensor Linear::Forward(const Tensor& x) const {
   Tensor y = tensor::MatMul(x, weight_);
   if (bias_.defined()) y = tensor::Add(y, bias_);
   return y;
+}
+
+void Linear::ForwardRow(const float* x, float* y) const {
+  std::fill(y, y + out_features_, 0.0f);
+  tensor::kernels::MatMulAdd(x, weight_.data().data(), y, 1, in_features_,
+                             out_features_, false, false);
+  if (!bias_.defined()) return;
+  const float* b = bias_.data().data();
+  for (int j = 0; j < out_features_; ++j) y[j] = y[j] + b[j];
 }
 
 Mlp::Mlp(const std::vector<int>& dims, causer::Rng& rng) {

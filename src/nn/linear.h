@@ -17,6 +17,10 @@ class Linear : public Module {
   /// x: [n, in] -> [n, out].
   Tensor Forward(const Tensor& x) const;
 
+  /// Tape-free Forward of one row on raw buffers: x [in] -> y [out], the
+  /// floats Forward computes for that row. y must not alias x.
+  void ForwardRow(const float* x, float* y) const;
+
   const Tensor& weight() const { return weight_; }
   const Tensor& bias() const { return bias_; }
   int in_features() const { return in_features_; }

@@ -17,6 +17,12 @@ class GruCell : public Module {
   /// x: [n, input_dim], h: [n, hidden_dim] -> [n, hidden_dim].
   Tensor Forward(const Tensor& x, const Tensor& h) const;
 
+  /// Tape-free step of one row on raw buffers, for the serve folds:
+  /// x [input_dim] and h [hidden_dim] (null: the zero initial state) ->
+  /// out [hidden_dim]. Each float is the one Forward computes for that row
+  /// (same per-element operations in the same order). out may alias h.
+  void Step(const float* x, const float* h, float* out) const;
+
   /// Zero initial hidden state for a batch of n sequences.
   Tensor InitialState(int n = 1) const;
 
@@ -49,6 +55,13 @@ class LstmCell : public Module {
 
   /// Advances one step.
   LstmState Forward(const Tensor& x, const LstmState& state) const;
+
+  /// Tape-free step of one row on raw buffers, like GruCell::Step: x
+  /// [input_dim], h and c [hidden_dim] (null: zeros) -> h_out and c_out
+  /// [hidden_dim], the floats Forward computes for that row. h_out may
+  /// alias h and c_out may alias c.
+  void Step(const float* x, const float* h, const float* c, float* h_out,
+            float* c_out) const;
 
   /// Zero initial state for a batch of n sequences.
   LstmState InitialState(int n = 1) const;

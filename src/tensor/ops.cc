@@ -1,7 +1,9 @@
 #include "tensor/ops.h"
 
+#include <algorithm>
 #include <cmath>
-#include <functional>
+#include <initializer_list>
+#include <utility>
 
 #include "tensor/kernels.h"
 #include "tensor/primitives/primitives.h"
@@ -17,30 +19,29 @@ using NodePtr = std::shared_ptr<Node>;
 /// graphs against private parameter copies.
 NodePtr Res(const Tensor& t) { return internal::Resolve(t.node()); }
 
-/// Creates the result node of an op. Parents and the backward closure are
-/// only recorded when gradients are globally enabled and at least one parent
-/// requires them; otherwise the result is a detached leaf.
-Tensor MakeResult(int rows, int cols, std::vector<NodePtr> parents,
-                  std::function<void(Node&)> backward_fn) {
+/// Creates the result node of an op with a zeroed [rows, cols] value.
+/// Parents and the backward closure are only recorded when gradients are
+/// globally enabled and at least one parent requires them; otherwise the
+/// result is a detached leaf, and neither the parents vector nor the
+/// std::function is built (a no-grad forward pays for the value only).
+/// `parents` is a braced list of nodes or any range of them.
+template <typename Parents = std::initializer_list<NodePtr>, typename Backward>
+Tensor MakeResult(int rows, int cols, const Parents& parents,
+                  Backward&& backward_fn) {
   auto node = internal::NewNode();
   node->rows = rows;
   node->cols = cols;
   node->value.assign(static_cast<size_t>(rows) * cols, 0.0f);
-  bool needs_grad = false;
-  if (GradEnabled()) {
-    for (const auto& p : parents) {
-      if (p->requires_grad) {
-        needs_grad = true;
-        break;
-      }
-    }
-  }
+  const bool needs_grad =
+      GradEnabled() &&
+      std::any_of(parents.begin(), parents.end(),
+                  [](const NodePtr& p) { return p->requires_grad; });
   if (needs_grad) {
     node->requires_grad = true;
-    node->parents = std::move(parents);
-    node->backward_fn = std::move(backward_fn);
+    node->parents.assign(parents.begin(), parents.end());
+    node->backward_fn = std::forward<Backward>(backward_fn);
   }
-  return Tensor(node);
+  return Tensor(std::move(node));
 }
 
 bool BroadcastCompatible(int da, int db) { return da == db || da == 1 || db == 1; }
@@ -48,10 +49,9 @@ bool BroadcastCompatible(int da, int db) { return da == db || da == 1 || db == 1
 /// Generic broadcasting binary elementwise op.
 /// fwd(x, y) computes the value; dfa/dfb give dL/dx and dL/dy contributions
 /// as functions of (x, y, gout).
-Tensor BroadcastBinary(const Tensor& a, const Tensor& b,
-                       float (*fwd)(float, float),
-                       float (*dfa)(float, float, float),
-                       float (*dfb)(float, float, float)) {
+template <typename Fwd, typename Dfa, typename Dfb>
+Tensor BroadcastBinary(const Tensor& a, const Tensor& b, Fwd fwd, Dfa dfa,
+                       Dfb dfb) {
   CAUSER_CHECK(a.defined() && b.defined());
   CAUSER_CHECK(BroadcastCompatible(a.rows(), b.rows()));
   CAUSER_CHECK(BroadcastCompatible(a.cols(), b.cols()));
@@ -81,9 +81,17 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b,
           }
         }
       });
+  float* o = out.data().data();
+  if (an->rows == bn->rows && an->cols == bn->cols) {
+    // Equal shapes broadcast nothing: one flat pass.
+    const float* x = an->value.data();
+    const float* y = bn->value.data();
+    for (size_t i = 0; i < out.data().size(); ++i) o[i] = fwd(x[i], y[i]);
+    return out;
+  }
   for (int r = 0; r < rows; ++r) {
     for (int c = 0; c < cols; ++c) {
-      out.data()[static_cast<size_t>(r) * cols + c] =
+      o[static_cast<size_t>(r) * cols + c] =
           fwd(an->value[index(an, r, c)], bn->value[index(bn, r, c)]);
     }
   }
@@ -92,8 +100,8 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b,
 
 /// Generic elementwise unary op; dfn(x, y, gout) returns dL/dx where y is
 /// the forward output (lets sigmoid/tanh reuse the output).
-Tensor UnaryOp(const Tensor& a, float (*fwd)(float),
-               float (*dfn)(float, float, float)) {
+template <typename Fwd, typename Dfn>
+Tensor UnaryOp(const Tensor& a, Fwd fwd, Dfn dfn) {
   CAUSER_CHECK(a.defined());
   NodePtr an = Res(a);
   Tensor out = MakeResult(a.rows(), a.cols(), {an}, [an, dfn](Node& self) {
@@ -214,13 +222,8 @@ Tensor Transpose(const Tensor& a) {
 }
 
 Tensor Sigmoid(const Tensor& a) {
-  return UnaryOp(
-      a,
-      [](float x) {
-        return x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
-                         : std::exp(x) / (1.0f + std::exp(x));
-      },
-      [](float, float y, float g) { return g * y * (1.0f - y); });
+  return UnaryOp(a, [](float x) { return SigmoidValue(x); },
+                 [](float, float y, float g) { return g * y * (1.0f - y); });
 }
 
 Tensor Tanh(const Tensor& a) {
@@ -446,9 +449,7 @@ Tensor BceWithLogits(const Tensor& logits, const Tensor& targets) {
     if (!xn->requires_grad) return;
     xn->EnsureGrad();
     for (size_t i = 0; i < xn->value.size(); ++i) {
-      float x = xn->value[i];
-      float s = x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
-                          : std::exp(x) / (1.0f + std::exp(x));
+      const float s = SigmoidValue(xn->value[i]);
       xn->grad[i] += self.grad[0] * (s - tn->value[i]);
     }
   });

@@ -1,6 +1,7 @@
 #ifndef CAUSER_TENSOR_OPS_H_
 #define CAUSER_TENSOR_OPS_H_
 
+#include <cmath>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -35,7 +36,18 @@ Tensor MatMul(const Tensor& a, const Tensor& b);
 /// Transpose [n,m] -> [m,n].
 Tensor Transpose(const Tensor& a);
 
-/// Logistic sigmoid, elementwise.
+/// The one scalar logistic sigmoid: the Sigmoid op, BceWithLogits'
+/// gradient and the raw recurrent cell steps (nn/rnn_cells.h) all evaluate
+/// this expression, so their values carry the same bits. Branching on the
+/// sign keeps exp from overflowing; the negative branch evaluates exp(x)
+/// once and uses it twice.
+inline float SigmoidValue(float x) {
+  if (x >= 0.0f) return 1.0f / (1.0f + std::exp(-x));
+  const float e = std::exp(x);
+  return e / (1.0f + e);
+}
+
+/// Logistic sigmoid, elementwise (SigmoidValue per entry).
 Tensor Sigmoid(const Tensor& a);
 
 /// Hyperbolic tangent, elementwise.

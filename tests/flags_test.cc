@@ -5,9 +5,10 @@
 namespace causer {
 namespace {
 
-Flags ParseList(std::vector<const char*> args) {
+Flags ParseList(std::vector<const char*> args,
+                const std::set<std::string>& switches = {}) {
   args.insert(args.begin(), "prog");
-  return Flags::Parse(static_cast<int>(args.size()), args.data());
+  return Flags::Parse(static_cast<int>(args.size()), args.data(), switches);
 }
 
 TEST(FlagsTest, EqualsSyntax) {
@@ -76,6 +77,22 @@ TEST(FlagsTest, UnreadFlagIsUnknown) {
               "unknown flag --serve-replay");
   f.GetInt("serve-replay", 0);
   f.ExitOnUnknown();  // every passed flag has now been read
+}
+
+TEST(FlagsTest, SwitchNeverTakesTheNextArgument) {
+  // The benches' "--smoke out.json": the report path stays positional.
+  Flags f = ParseList({"--smoke", "out.json"}, {"smoke"});
+  EXPECT_TRUE(f.GetBool("smoke"));
+  ASSERT_EQ(f.positional().size(), 1u);
+  EXPECT_EQ(f.positional()[0], "out.json");
+  Flags g = ParseList({"--smoke=false", "out.json"}, {"smoke"});
+  EXPECT_FALSE(g.GetBool("smoke"));
+  // A misspelt switch is not one: it swallows the path and stays unread.
+  Flags h = ParseList({"--smok", "out.json"}, {"smoke"});
+  EXPECT_FALSE(h.GetBool("smoke"));
+  EXPECT_TRUE(h.positional().empty());
+  EXPECT_EXIT(h.ExitOnUnknown(), testing::ExitedWithCode(2),
+              "unknown flag --smok");
 }
 
 TEST(FlagsTest, AbsentOrEmptyNumbersStillFallBack) {

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
 
 #include "common/serial.h"
+#include "models/gru4rec.h"
 #include "nn/attention.h"
 #include "nn/embedding.h"
 #include "nn/init.h"
@@ -172,6 +174,153 @@ TEST(LstmCellTest, BatchedState) {
   Tensor x = Tensor::Zeros(4, 2);
   s = cell.Forward(x, s);
   EXPECT_EQ(s.h.rows(), 4);
+}
+
+// -- Raw cell steps: the serve folds' tape-free twins of Forward ----------
+
+/// Scales every weight of `cell` by `scale` and gives the (zero-initialized)
+/// biases values in [-2, 2], so gate pre-activations reach about +-20 and
+/// the reordering of `(xW + hU) + b` shows in the bits.
+void Saturate(Module& cell, float scale, Rng& rng) {
+  for (Tensor p : cell.Parameters()) {
+    const bool bias = p.rows() == 1;
+    for (float& v : p.data()) {
+      v = bias ? static_cast<float>(rng.Uniform(-2.0, 2.0)) : v * scale;
+    }
+  }
+}
+
+/// Twelve random input rows of `dim` entries in [-3, 3].
+std::vector<Tensor> RandomInputs(int dim, Rng& rng) {
+  std::vector<Tensor> xs;
+  for (int t = 0; t < 12; ++t) {
+    xs.push_back(Tensor::RandomUniform(1, dim, -3.0f, 3.0f, rng));
+  }
+  return xs;
+}
+
+/// The range of gate pre-activations `x W + h U + b` over the steps, for
+/// the gate whose parameters start at Parameters()[first].
+void PreActivationRange(const Module& cell, int first, const Tensor& x,
+                        const Tensor& h, float* lo, float* hi) {
+  const auto params = cell.Parameters();
+  Tensor pre = tensor::Add(
+      tensor::Add(tensor::MatMul(x, params[first]),
+                  tensor::MatMul(h, params[first + 1])),
+      params[first + 2]);
+  for (float v : pre.data()) {
+    *lo = std::min(*lo, v);
+    *hi = std::max(*hi, v);
+  }
+}
+
+TEST(RawStepTest, GruStepMatchesForwardBitForBit) {
+  Rng rng(41);
+  GruCell cell(5, 7, rng);  // input_dim != hidden_dim
+  Saturate(cell, 6.0f, rng);
+  const std::vector<Tensor> xs = RandomInputs(5, rng);
+  tensor::NoGradGuard guard;
+  Tensor h = cell.InitialState();
+  std::vector<float> raw(7);
+  float lo = 0.0f, hi = 0.0f;
+  for (int t = 0; t < 12; ++t) {
+    for (int gate = 0; gate < 9; gate += 3) {
+      PreActivationRange(cell, gate, xs[t], h, &lo, &hi);
+    }
+    h = cell.Forward(xs[t], h);
+    // The first step runs from the null (zero) state, the rest in place.
+    cell.Step(xs[t].data().data(), t == 0 ? nullptr : raw.data(),
+              raw.data());
+    for (int j = 0; j < 7; ++j) {
+      ASSERT_EQ(raw[j], h.At(0, j)) << "step " << t << " unit " << j;
+    }
+  }
+  // Both sigmoid branches and saturation were exercised.
+  EXPECT_LT(lo, -15.0f);
+  EXPECT_GT(hi, 15.0f);
+}
+
+TEST(RawStepTest, LstmStepMatchesForwardBitForBit) {
+  Rng rng(43);
+  LstmCell cell(6, 4, rng);
+  Saturate(cell, 6.0f, rng);
+  const std::vector<Tensor> xs = RandomInputs(6, rng);
+  tensor::NoGradGuard guard;
+  LstmState s = cell.InitialState();
+  std::vector<float> h(4), c(4);
+  float lo = 0.0f, hi = 0.0f;
+  for (int t = 0; t < 12; ++t) {
+    for (int gate = 0; gate < 12; gate += 3) {
+      PreActivationRange(cell, gate, xs[t], s.h, &lo, &hi);
+    }
+    s = cell.Forward(xs[t], s);
+    cell.Step(xs[t].data().data(), t == 0 ? nullptr : h.data(),
+              t == 0 ? nullptr : c.data(), h.data(), c.data());
+    for (int j = 0; j < 4; ++j) {
+      ASSERT_EQ(h[j], s.h.At(0, j)) << "step " << t << " unit " << j;
+      ASSERT_EQ(c[j], s.c.At(0, j)) << "step " << t << " unit " << j;
+    }
+  }
+  EXPECT_LT(lo, -15.0f);
+  EXPECT_GT(hi, 15.0f);
+}
+
+TEST(RawStepTest, NullStateIsExplicitZeros) {
+  Rng rng(47);
+  GruCell gru(3, 5, rng);
+  LstmCell lstm(3, 5, rng);
+  Saturate(gru, 4.0f, rng);
+  Saturate(lstm, 4.0f, rng);
+  const std::vector<float> x = {1.5f, -2.0f, 0.25f};
+  const std::vector<float> zeros(5, 0.0f);
+  std::vector<float> from_null(5), from_zeros(5);
+  gru.Step(x.data(), nullptr, from_null.data());
+  gru.Step(x.data(), zeros.data(), from_zeros.data());
+  EXPECT_EQ(from_null, from_zeros);
+  std::vector<float> c_null(5), c_zeros(5);
+  lstm.Step(x.data(), nullptr, nullptr, from_null.data(), c_null.data());
+  lstm.Step(x.data(), zeros.data(), zeros.data(), from_zeros.data(),
+            c_zeros.data());
+  EXPECT_EQ(from_null, from_zeros);
+  EXPECT_EQ(c_null, c_zeros);
+}
+
+/// Exposes Gru4Rec's tape encoder so the raw fold can be held against it.
+class ExposedGru4Rec : public models::Gru4Rec {
+ public:
+  using models::Gru4Rec::Gru4Rec;
+  using models::Gru4Rec::Represent;
+};
+
+TEST(RawStepTest, Gru4RecStateRepIsRepresentRow) {
+  models::ModelConfig config;
+  config.num_users = 4;
+  config.num_items = 40;
+  config.embedding_dim = 6;
+  config.hidden_dim = 9;
+  config.max_history = 5;  // 15 appends slide the window ten times
+  ExposedGru4Rec model(config);
+  auto state = model.NewSessionState(0);
+  std::vector<data::Step> history;
+  std::vector<float> rep(6);
+  for (int t = 0; t < 15; ++t) {
+    data::Step step;
+    // One to three items per step, and one empty step.
+    for (int k = 0; k < (t == 6 ? 0 : 1 + t % 3); ++k) {
+      step.items.push_back((t * 7 + k * 13) % config.num_items);
+    }
+    model.AdvanceState(*state, step);
+    history.push_back(step);
+    const std::vector<data::Step> window(
+        history.end() - std::min<size_t>(history.size(), 5), history.end());
+    ASSERT_TRUE(model.StateRep(*state, rep.data()));
+    tensor::NoGradGuard guard;
+    Tensor expected = model.Represent(0, window);
+    for (int j = 0; j < 6; ++j) {
+      ASSERT_EQ(rep[j], expected.At(0, j)) << "append " << t << " dim " << j;
+    }
+    ASSERT_EQ(model.ScoreFromState(*state), model.ScoreAll(0, history));
+  }
 }
 
 TEST(BilinearAttentionTest, WeightsFormDistribution) {
