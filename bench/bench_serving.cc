@@ -291,8 +291,12 @@ int main(int argc, char** argv) {
   print_row("GRU4Rec", gru_inc);
 
   // Causer rides on a small real dataset (its config needs clusters and
-  // item features); reported, not gated — its grouped scoring dominates
-  // both paths, so the backbone saving shows up smaller.
+  // item features); reported, not gated. Its ScoreAll is the serve fold
+  // run once over the whole prefix, so the bit check compares the
+  // incremental fold with a one-shot fold (ScoreCandidate, the
+  // per-candidate reference, is checked in tests/serving_test.cc), and the
+  // two sides differ only in the steps the replay re-folds; the grouped
+  // scoring both pay keeps the ratio below GRU4Rec's.
   data::DatasetSpec causer_spec = data::TinySpec();
   causer_spec.num_users = 64;
   causer_spec.num_items = 120;

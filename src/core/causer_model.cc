@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
 
 #include "causal/acyclicity.h"
 #include "causal/notears.h"
@@ -45,32 +44,6 @@ CauserMetricsT& CauserMetrics() {
           "rho escalation."),
   };
   return m;
-}
-
-/// SplitMix64 finalizer: a full-avalanche 64-bit mix.
-inline uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-/// Seed of the chained group-key hash; histories that keep nothing stay at
-/// the seed, so it doubles as "the fallback group's key".
-constexpr uint64_t kGroupKeySeed = 0xcbf29ce484222325ULL;
-
-/// Absorbs one kept (step, item) pair into a running group key. Chaining
-/// the mix keeps the key order-sensitive and lets the serving path extend a
-/// cached key with a new step's pairs without revisiting the history —
-/// exactly the Zobrist-style trick incremental hashers use. Two distinct
-/// filtered histories collide with probability ~2^-64 per pair, far below
-/// the float-noise floor of everything downstream; a collision would merely
-/// score the colliding candidates against the other history's encoding.
-inline uint64_t HashKeptPair(uint64_t key, int step, int item) {
-  const uint64_t pair = (static_cast<uint64_t>(static_cast<uint32_t>(step))
-                         << 32) |
-                        static_cast<uint32_t>(item);
-  return SplitMix64(key ^ SplitMix64(pair));
 }
 
 /// Eq. 9's total effect What_{t,b} of one history step on candidate b: the
@@ -134,9 +107,10 @@ CauserModel::CauserModel(const CauserConfig& config)
   RegisterModule(users_.get());
   RegisterModule(input_items_.get());
 
-  // Three parameter groups with independent optimizers (Algorithm 1's
+  // Two parameter groups with independent Adam optimizers (Algorithm 1's
   // alternating updates + the Section III-C slow-update efficiency mode):
-  // main = Theta_g, Theta_e, V, A; graph = W^c; aux = Theta_a.
+  // main = Theta_g, Theta_e, V, A; aux = Theta_a. W^c takes no tape
+  // gradient: FitClusterGraph fits it by direct proximal steps.
   std::vector<Tensor> main_params;
   auto append = [&main_params](const nn::Module& m) {
     auto p = m.Parameters();
@@ -151,8 +125,6 @@ CauserModel::CauserModel(const CauserConfig& config)
   if (config.use_free_input_embedding) append(*input_items_);
   opt_main_ =
       std::make_unique<nn::Adam>(main_params, config.base.learning_rate);
-  opt_graph_ = std::make_unique<nn::Adam>(graph_->Parameters(),
-                                          config.graph_learning_rate);
   opt_aux_ = std::make_unique<nn::Adam>(clusterer_->Parameters(),
                                         config.base.learning_rate);
 }
@@ -373,11 +345,11 @@ void CauserModel::BackboneStep(const std::vector<int>& items,
   lstm_->Step(x, prev_h, prev_c, h->data(), c->data());
 }
 
-CauserModel::Encoded CauserModel::EncodeFiltered(
-    const std::vector<data::Step>& history, int candidate) {
+CauserModel::CandidateForward CauserModel::ForwardCandidate(
+    const std::vector<data::Step>& history, int user, int candidate) {
   EnsureCaches();
   const int v = config_.num_items;
-  Encoded enc;
+  CandidateForward out;
   std::vector<std::vector<int>> steps;
   for (size_t t = 0; t < history.size(); ++t) {
     if (history[t].items.empty()) continue;
@@ -394,22 +366,50 @@ CauserModel::Encoded CauserModel::EncodeFiltered(
     }
     if (kept.empty()) continue;  // Eq. 10: skip cause-free steps
     steps.push_back(std::move(kept));
-    enc.step_index.push_back(static_cast<int>(t));
+    out.step_index.push_back(static_cast<int>(t));
   }
+  // Everything was filtered out: fall back to the unfiltered history with
+  // What = 1, so the model still produces (and learns from) a
+  // representation.
+  const bool weighted = causer_config_.use_causal && !steps.empty();
   if (steps.empty()) {
-    // Everything was filtered out; fall back to the unfiltered history so
-    // the model still produces (and learns from) a representation.
-    enc.fallback = true;
     for (size_t t = 0; t < history.size(); ++t) {
       if (history[t].items.empty()) continue;
       steps.push_back(history[t].items);
-      enc.step_index.push_back(static_cast<int>(t));
+      out.step_index.push_back(static_cast<int>(t));
     }
   }
-  if (steps.empty()) return enc;  // degenerate: empty history
-  enc.kept_items = steps;
-  enc.states = RunBackbone(steps);
-  return enc;
+  if (steps.empty()) {  // degenerate: no items in the history
+    out.logit = Tensor::Scalar(0.0f);
+    return out;
+  }
+  Tensor states = RunBackbone(steps);  // [T,h]
+  const int rows = states.rows();
+  out.alpha = StepWeights(states);     // [T,1]
+  std::vector<float> what(rows, 1.0f);
+  if (weighted) {
+    for (int r = 0; r < rows; ++r) {
+      what[r] = WhatSum(w_cache_, v, steps[r], candidate);
+    }
+  }
+  // A constant [T,1] column: W^c takes no tape gradient.
+  out.what = Tensor::FromData(rows, 1, std::move(what));
+  Tensor coeff = tensor::Mul(out.alpha, out.what);                   // [T,1]
+  Tensor pooled = tensor::MatMul(tensor::Transpose(coeff), states);  // [1,h]
+  Tensor rep = adapt_->Forward(pooled);
+  if (causer_config_.use_user_embedding) {
+    rep = tensor::Add(rep, users_->Row(user));
+  }
+  out.logit = tensor::SumRows(tensor::Mul(rep, out_items_->Row(candidate)));
+  return out;
+}
+
+float CauserModel::ScoreCandidate(int user,
+                                  const std::vector<data::Step>& history,
+                                  int item) {
+  tensor::NoGradGuard guard;
+  tensor::ArenaScope arena_scope;
+  return ForwardCandidate(Truncate(history), user, item).logit.Item();
 }
 
 Tensor CauserModel::StepWeights(const Tensor& states) {
@@ -421,50 +421,9 @@ Tensor CauserModel::StepWeights(const Tensor& states) {
   return attention_->Weights(states, query);
 }
 
-Tensor CauserModel::CausalEffects(const Encoded& encoded, int candidate) {
-  const int t = encoded.states.rows();
-  // A fully filtered history falls back to treating all steps equally.
-  if (!causer_config_.use_causal || encoded.fallback) {
-    return Tensor::Full(t, 1, 1.0f);
-  }
-  std::vector<float> vals(t);
-  for (int r = 0; r < t; ++r) {
-    vals[r] = WhatSum(w_cache_, config_.num_items, encoded.kept_items[r],
-                      candidate);
-  }
-  return Tensor::FromData(t, 1, std::move(vals));
-}
-
-Tensor CauserModel::CandidateLogit(const Encoded& encoded, int user,
-                                   int candidate) {
-  if (!encoded.states.defined()) return Tensor::Scalar(0.0f);
-  Tensor alpha = StepWeights(encoded.states);                        // [T,1]
-  Tensor what = CausalEffects(encoded, candidate);                   // [T,1]
-  Tensor coeff = tensor::Mul(alpha, what);                           // [T,1]
-  Tensor pooled =
-      tensor::MatMul(tensor::Transpose(coeff), encoded.states);      // [1,h]
-  Tensor rep = adapt_->Forward(pooled);
-  if (causer_config_.use_user_embedding) {
-    rep = tensor::Add(rep, users_->Row(user));
-  }
-  return tensor::SumRows(tensor::Mul(rep, out_items_->Row(candidate)));
-}
-
-std::vector<float> CauserModel::UserBias(int user) {
-  if (!causer_config_.use_user_embedding) {
-    return std::vector<float>(config_.num_items, 0.0f);
-  }
-  tensor::NoGradGuard guard;
-  tensor::ArenaScope arena_scope;
-  Tensor bias = tensor::MatMul(out_items_->weight(),
-                               tensor::Transpose(users_->Row(user)));
-  return std::vector<float>(bias.data().begin(), bias.data().end());
-}
-
 void CauserModel::ScoreGroup(const Tensor& states, const Tensor& alpha,
                              const std::vector<std::vector<int>>* kept_steps,
-                             const std::vector<int>& members,
-                             const std::vector<float>& user_bias,
+                             const std::vector<int>& members, int user,
                              std::vector<float>* out) {
   const int v = config_.num_items;
   const int t = states.rows();
@@ -483,68 +442,12 @@ void CauserModel::ScoreGroup(const Tensor& states, const Tensor& alpha,
   Tensor c = Tensor::FromData(t, g_size, std::move(coeff));
   Tensor pooled = tensor::MatMul(tensor::Transpose(c), states);  // [G, h]
   Tensor reps = adapt_->Forward(pooled);                    // [G, de]
+  if (causer_config_.use_user_embedding) {
+    reps = tensor::Add(reps, users_->Row(user));
+  }
   Tensor emb = out_items_->Forward(members);                // [G, de]
   Tensor logits = tensor::SumRows(tensor::Mul(reps, emb));  // [G, 1]
-  for (int g = 0; g < g_size; ++g) {
-    int b = members[g];
-    (*out)[b] = logits.At(g, 0) + user_bias[b];
-  }
-}
-
-std::vector<float> CauserModel::ScoreAll(
-    int user, const std::vector<data::Step>& history) {
-  tensor::NoGradGuard guard;
-  EnsureCaches();
-  const int v = config_.num_items;
-  std::vector<float> out(v, 0.0f);
-  std::vector<data::Step> truncated = Truncate(history);
-  if (truncated.empty()) return out;
-  const std::vector<float> user_bias = UserBias(user);
-
-  // Group candidates sharing the same filtered history; the backbone runs
-  // once per group (with near-hard assignments there are at most ~K
-  // distinct filters, which is what makes cluster-level causality scale).
-  // The key is the chained hash of the kept (step, item) pairs — integer
-  // mixing instead of the O(V·T) string formatting this loop used to do.
-  struct Group {
-    Encoded encoded;
-    Tensor alpha;
-    std::vector<int> members;
-  };
-  std::vector<Group> groups;
-  std::unordered_map<uint64_t, int> group_of;
-  for (int b = 0; b < v; ++b) {
-    uint64_t key = kGroupKeySeed;
-    if (causer_config_.use_causal) {
-      for (size_t t = 0; t < truncated.size(); ++t) {
-        for (int item : truncated[t].items) {
-          if (w_cache_[static_cast<size_t>(item) * v + b] >
-              causer_config_.epsilon) {
-            key = HashKeptPair(key, static_cast<int>(t), item);
-          }
-        }
-      }
-    }
-    auto [it, inserted] = group_of.try_emplace(key, -1);
-    if (inserted) {
-      Group g;
-      g.encoded = EncodeFiltered(truncated, b);
-      if (g.encoded.states.defined()) g.alpha = StepWeights(g.encoded.states);
-      it->second = static_cast<int>(groups.size());
-      groups.push_back(std::move(g));
-    }
-    groups[it->second].members.push_back(b);
-  }
-
-  for (const auto& group : groups) {
-    if (!group.encoded.states.defined()) continue;
-    const bool weighted =
-        causer_config_.use_causal && !group.encoded.fallback;
-    ScoreGroup(group.encoded.states, group.alpha,
-               weighted ? &group.encoded.kept_items : nullptr, group.members,
-               user_bias, &out);
-  }
-  return out;
+  for (int g = 0; g < g_size; ++g) (*out)[members[g]] = logits.At(g, 0);
 }
 
 /// Incremental serving session: the window plus, per filtered-history
@@ -561,7 +464,6 @@ class CauserModel::ServeState : public models::SessionState {
   /// exactly `kept_steps` of the window, and the backbone run over them.
   struct GroupState {
     std::vector<std::vector<int>> kept_steps;  // filtered items per row
-    std::vector<int> step_index;               // window index per row
     std::vector<float> states;                 // [rows * hidden_dim]
     std::vector<float> h;  // last hidden state ([hidden_dim])
     std::vector<float> c;  // LSTM cell memory (unused under GRU)
@@ -597,7 +499,6 @@ void CauserModel::AdvanceGroups(ServeState& state, int t) {
   const std::vector<int>& items = state.window[t].items;
   auto extend = [&](ServeState::GroupState& g, const std::vector<int>& kept) {
     g.kept_steps.push_back(kept);
-    g.step_index.push_back(t);
     BackboneStep(kept, &g.h, &g.c);
     g.states.insert(g.states.end(), g.h.begin(), g.h.end());
   };
@@ -670,8 +571,6 @@ std::vector<float> CauserModel::ScoreFromState(models::SessionState& state) {
   // Scratch (reconstructed states, attention, pooling) lives on the arena;
   // only the plain `out` floats leave the scope.
   tensor::ArenaScope arena_scope;
-  const std::vector<float> user_bias = UserBias(s->user);
-
   std::vector<std::vector<int>> members(s->groups.size());
   for (int b = 0; b < v; ++b) members[s->group_of[b]].push_back(b);
   for (size_t gi = 0; gi < s->groups.size(); ++gi) {
@@ -681,15 +580,24 @@ std::vector<float> CauserModel::ScoreFromState(models::SessionState& state) {
     const ServeState::GroupState& encoded = g.empty() ? s->unfiltered : g;
     if (encoded.empty()) continue;  // degenerate: all steps empty
     // The copied-out rows carry the exact floats RunBackbone's chained
-    // recurrence produces, so everything downstream matches ScoreAll.
+    // recurrence produces, so everything downstream matches ScoreCandidate.
     Tensor states =
-        Tensor::FromData(static_cast<int>(encoded.step_index.size()),
+        Tensor::FromData(static_cast<int>(encoded.kept_steps.size()),
                          config_.hidden_dim, encoded.states);
     ScoreGroup(states, StepWeights(states),
-               g.empty() ? nullptr : &g.kept_steps, members[gi], user_bias,
+               g.empty() ? nullptr : &g.kept_steps, members[gi], s->user,
                &out);
   }
   return out;
+}
+
+std::vector<float> CauserModel::ScoreAll(
+    int user, const std::vector<data::Step>& history) {
+  // A one-shot fold: a fresh session whose window is the whole (truncated)
+  // history, scored by the same fold and ScoreGroup as a served session.
+  ServeState state(user);
+  state.window = Truncate(history);
+  return ScoreFromState(state);
 }
 
 void CauserModel::PretrainAndFreezeGraph(
@@ -789,8 +697,8 @@ double CauserModel::TrainEpoch(const std::vector<data::Sequence>& train) {
     std::vector<Tensor> logit_rows;
     logit_rows.reserve(cand.ids.size());
     for (int b : cand.ids) {
-      Encoded enc = EncodeFiltered(history, b);
-      logit_rows.push_back(CandidateLogit(enc, ex.sequence->user, b));
+      logit_rows.push_back(
+          ForwardCandidate(history, ex.sequence->user, b).logit);
     }
     if (update_graph) {
       for (int pos : positives) RecordTransition(history, pos);
@@ -829,18 +737,15 @@ std::vector<double> CauserModel::ExplainScores(
     const data::EvalInstance& instance, int item, ExplainMode mode) {
   tensor::NoGradGuard guard;
   tensor::ArenaScope arena_scope;
-  EnsureCaches();
   std::vector<double> out(instance.history.size(), 0.0);
   std::vector<data::Step> truncated = Truncate(instance.history);
   const size_t offset = instance.history.size() - truncated.size();
-  Encoded enc = EncodeFiltered(truncated, item);
-  if (!enc.states.defined()) return out;
-
-  Tensor alpha = StepWeights(enc.states);
-  Tensor what = CausalEffects(enc, item);
-  for (int r = 0; r < enc.states.rows(); ++r) {
-    double a = alpha.At(r, 0);
-    double w = what.At(r, 0);
+  const CandidateForward fwd =
+      ForwardCandidate(truncated, instance.user, item);
+  const int rows = static_cast<int>(fwd.step_index.size());
+  for (int r = 0; r < rows; ++r) {
+    double a = fwd.alpha.At(r, 0);
+    double w = fwd.what.At(r, 0);
     double score = 0.0;
     switch (mode) {
       case ExplainMode::kFull:
@@ -853,7 +758,7 @@ std::vector<double> CauserModel::ExplainScores(
         score = a;
         break;
     }
-    out[offset + enc.step_index[r]] = score;
+    out[offset + fwd.step_index[r]] = score;
   }
   return out;
 }
@@ -861,7 +766,6 @@ std::vector<double> CauserModel::ExplainScores(
 void CauserModel::SaveTrainingState(std::string* out) const {
   models::SequentialRecommender::SaveTrainingState(out);  // rng stream
   opt_main_->SaveState(out);
-  opt_graph_->SaveState(out);
   opt_aux_->SaveState(out);
   lagrangian_.SaveState(out);
   serial::AppendI32(out, epoch_);
@@ -873,7 +777,6 @@ void CauserModel::SaveTrainingState(std::string* out) const {
 bool CauserModel::LoadTrainingState(serial::Reader& in) {
   if (!models::SequentialRecommender::LoadTrainingState(in)) return false;
   if (!opt_main_->LoadState(in)) return false;
-  if (!opt_graph_->LoadState(in)) return false;
   if (!opt_aux_->LoadState(in)) return false;
   if (!lagrangian_.LoadState(in)) return false;
   int32_t epoch = 0;
@@ -897,7 +800,6 @@ bool CauserModel::LoadTrainingState(serial::Reader& in) {
 
 void CauserModel::ScaleLearningRate(float factor) {
   opt_main_->set_lr(opt_main_->lr() * factor);
-  opt_graph_->set_lr(opt_graph_->lr() * factor);
   opt_aux_->set_lr(opt_aux_->lr() * factor);
   // The W^c subproblem takes direct (non-Adam) steps at this rate.
   causer_config_.graph_learning_rate *= factor;

@@ -115,8 +115,19 @@ class CauserModel : public models::SequentialRecommender {
 
   std::string name() const override;
 
+  /// A one-shot serve fold: a fresh session whose window is the truncated
+  /// history, grouped and scored by the same code as ScoreFromState.
+  /// ScoreCandidate is its reference.
   std::vector<float> ScoreAll(int user,
                               const std::vector<data::Step>& history) override;
+
+  /// Eq. 10 for the one candidate `item`, on its own: the truncated history
+  /// filtered by the item's causal filter and encoded by the backbone on
+  /// the tape. This is the forward TrainEpoch trains, and the reference
+  /// that ScoreAll's grouped fold reproduces bit for bit.
+  float ScoreCandidate(int user, const std::vector<data::Step>& history,
+                       int item);
+
   double TrainEpoch(const std::vector<data::Sequence>& train) override;
   void OnParametersRestored() override;
 
@@ -128,11 +139,12 @@ class CauserModel : public models::SequentialRecommender {
   // a single cell step instead of replaying the backbone over the whole
   // window. After a window slide or a cache refresh (TrainEpoch / restore)
   // the fold starts over from the first window step. Scores stay
-  // bit-identical to ScoreAll over the appended history.
+  // bit-identical to ScoreAll (the same fold in one shot) and to
+  // ScoreCandidate over the appended history.
   std::unique_ptr<models::SessionState> NewSessionState(int user) override;
   std::vector<float> ScoreFromState(models::SessionState& state) override;
 
-  /// Causer's resume state on top of the base RNG stream: the three Adam
+  /// Causer's resume state on top of the base RNG stream: the two Adam
   /// optimizers, the augmented-Lagrangian multipliers, the epoch counter
   /// (which gates warm-up and slow-update scheduling) and the frozen-graph
   /// flag. With the parameters this makes a resume bit-identical.
@@ -170,11 +182,12 @@ class CauserModel : public models::SequentialRecommender {
   const CauserConfig& causer_config() const { return causer_config_; }
 
  private:
-  struct Encoded {
-    nn::Tensor states;            // [T, hidden]; undefined when empty
-    std::vector<int> step_index;  // original history index per state row
-    std::vector<std::vector<int>> kept_items;  // per state row
-    bool fallback = false;  // true when filtering removed everything
+  /// One candidate's Eq. 10 forward (ForwardCandidate).
+  struct CandidateForward {
+    nn::Tensor logit;             // [1, 1]; 0 when the history has no items
+    nn::Tensor alpha;             // [T, 1] attention alpha_t
+    nn::Tensor what;              // [T, 1] total causal effects What_tb
+    std::vector<int> step_index;  // history index per state row
   };
 
   class ServeState;
@@ -183,9 +196,14 @@ class CauserModel : public models::SequentialRecommender {
   void RefreshCaches();
   void EnsureCaches();
 
-  /// Filters `history` for candidate b and runs the backbone.
-  Encoded EncodeFiltered(const std::vector<data::Step>& history,
-                         int candidate);
+  /// Eq. 10 for one candidate on the tape: filters the (truncated)
+  /// `history` by b's causal filter, falling back to the unfiltered history
+  /// with What = 1 when it keeps nothing, runs the backbone over the kept
+  /// steps, pools the states by alpha_t * What_tb and scores the adapted
+  /// representation plus the user embedding against e_b. TrainEpoch,
+  /// ScoreCandidate and ExplainScores all run this forward.
+  CandidateForward ForwardCandidate(const std::vector<data::Step>& history,
+                                    int user, int candidate);
 
   /// Runs the backbone over explicit per-step item lists.
   nn::Tensor RunBackbone(const std::vector<std::vector<int>>& step_items);
@@ -201,20 +219,14 @@ class CauserModel : public models::SequentialRecommender {
   void BackboneStep(const std::vector<int>& items, std::vector<float>* h,
                     std::vector<float>* c);
 
-  /// The per-user affinity bias column e . u_k of Eq. 10 ([V], one GEMV),
-  /// added to every candidate's score. Zeros when use_user_embedding is
-  /// off, so the addition stays unconditional and those scores keep their
-  /// bits.
-  std::vector<float> UserBias(int user);
-
   /// Scores one group of candidates sharing the encoded `states` and
-  /// attention `alpha`, adding the user bias: the shared tail of ScoreAll
-  /// and ScoreFromState. `kept_steps` lists the filtered items per state
-  /// row for the What sums; null means What = 1 (fallback / non-causal).
+  /// attention `alpha`: ForwardCandidate's pooling and scoring for every
+  /// member at once, with `user`'s embedding added to the adapted reps.
+  /// `kept_steps` lists the filtered items per state row for the What
+  /// sums; null means What = 1 (fallback / non-causal).
   void ScoreGroup(const nn::Tensor& states, const nn::Tensor& alpha,
                   const std::vector<std::vector<int>>* kept_steps,
-                  const std::vector<int>& members,
-                  const std::vector<float>& user_bias,
+                  const std::vector<int>& members, int user,
                   std::vector<float>* out);
 
   /// Folds window step t (non-empty) into a serve session: advances the
@@ -226,15 +238,6 @@ class CauserModel : public models::SequentialRecommender {
 
   /// Attention weights over the encoded states: [T, 1].
   nn::Tensor StepWeights(const nn::Tensor& states);
-
-  /// Total causal effects What_tb from the item-level cache as a constant
-  /// column [T, 1]: W^c takes no tape gradient (FitClusterGraph fits it).
-  nn::Tensor CausalEffects(const Encoded& encoded, int candidate);
-
-  /// Candidate logit (Eq. 10) given the encoded history; the user
-  /// embedding (the u_k conditioning of Eq. 10) is added to the adapted
-  /// representation before scoring.
-  nn::Tensor CandidateLogit(const Encoded& encoded, int user, int candidate);
 
   CauserConfig causer_config_;
   std::unique_ptr<ItemClusterer> clusterer_;
@@ -248,7 +251,6 @@ class CauserModel : public models::SequentialRecommender {
   std::unique_ptr<nn::Embedding> input_items_;  // optional free inputs
 
   std::unique_ptr<nn::Adam> opt_main_;
-  std::unique_ptr<nn::Adam> opt_graph_;
   std::unique_ptr<nn::Adam> opt_aux_;
 
   AugmentedLagrangian lagrangian_;

@@ -149,7 +149,10 @@ class SequentialRecommender : public nn::Module {
   // floats to ScoreAll(user, {h_0..h_{T-1}}) at every thread count. The base
   // implementation trivially satisfies it by replaying ScoreAll over the
   // window; Gru4Rec and CauserModel cache the window's recurrent encoding
-  // and fold only the steps appended since the last score.
+  // and fold only the steps appended since the last score. Gru4Rec's
+  // ScoreAll encodes on the tape; CauserModel's is the same fold run once
+  // over a fresh session, with CauserModel::ScoreCandidate, the
+  // per-candidate forward training runs, as its independent reference.
 
   /// Creates an empty incremental state for `user`.
   virtual std::unique_ptr<SessionState> NewSessionState(int user);

@@ -57,10 +57,10 @@ TEST(CauserModelTest, EmptyHistoryGivesZeroScores) {
   for (float s : scores) EXPECT_EQ(s, 0.0f);
 }
 
-TEST(CauserModelTest, UserBiasCacheInvalidatedWhenParametersChange) {
-  // ScoreAll caches the per-user bias GEMV (out_items * u_user) alongside
-  // the item-filter cache; restoring parameters must drop both, or stale
-  // biases leak into post-restore scores.
+TEST(CauserModelTest, FilterCacheRefreshedAfterParameterRestore) {
+  // ScoreAll filters through the cached item-level W (and assignments)
+  // built from the parameters; restoring parameters must mark that cache
+  // stale, or post-restore scores filter through the old graph.
   CauserModel model(TinyConfig());
   const auto& inst = TinySplit().test[0];
   auto before = model.ScoreAll(inst.user, inst.history);  // warms the cache

@@ -6,7 +6,9 @@
 // refreshes mid-session. Every score must equal the ScoreAll oracle over
 // the user's whole appended history, and every engine response eval::TopK
 // of it, bit for bit — for GRU4Rec and Causer (GRU and LSTM backbones),
-// fp32 and int8 (rerank_k = catalog), at 1 and 8 threads.
+// fp32 and int8 (rerank_k = catalog), at 1 and 8 threads. Causer's ScoreAll
+// is itself a one-shot fold, so the session API also checks it against
+// ScoreCandidate, the per-candidate Eq. 10 forward, item by item.
 
 #include <gtest/gtest.h>
 
@@ -170,13 +172,23 @@ void RunSessionApi(Arch arch, int threads) {
         std::vector<float> rep(model.config().embedding_dim);
         model.StateRep(*state, rep.data());
       }
-      ExpectSameBits(model.ScoreFromState(*state),
-                     model.ScoreAll(user, history),
-                     std::string(ArchName(arch)) + " t" +
-                         std::to_string(threads) + " user " +
-                         std::to_string(u) + " round " +
-                         std::to_string(round));
+      const std::string label = std::string(ArchName(arch)) + " t" +
+                                std::to_string(threads) + " user " +
+                                std::to_string(u) + " round " +
+                                std::to_string(round);
+      const std::vector<float> want = model.ScoreAll(user, history);
+      ExpectSameBits(model.ScoreFromState(*state), want, label);
       if (::testing::Test::HasFatalFailure()) return;
+      if (causer) {
+        auto& causer_model = dynamic_cast<core::CauserModel&>(model);
+        std::vector<float> reference(want.size());
+        for (size_t b = 0; b < want.size(); ++b) {
+          reference[b] = causer_model.ScoreCandidate(user, history,
+                                                     static_cast<int>(b));
+        }
+        ExpectSameBits(want, reference, label + " vs ScoreCandidate");
+        if (::testing::Test::HasFatalFailure()) return;
+      }
     }
   }
 }

@@ -3,7 +3,9 @@
 // appended history with ScoreAll — for the plain GRU4Rec backbone and for
 // Causer with either backbone, with and without the causal filter and with
 // the user embedding, at every thread count, including window slides past
-// max_history, wide steps, repeated items and empty steps. The engine's
+// max_history, wide steps, repeated items and empty steps. Causer's
+// ScoreAll (the same fold, in one shot) must in turn equal its
+// per-candidate Eq. 10 forward, ScoreCandidate, item by item. The engine's
 // batched GEMM + fused top-k responses must in turn equal eval::TopK of
 // those scores.
 
@@ -76,6 +78,23 @@ void ExpectIncrementalMatchesReplay(models::SequentialRecommender& model,
     for (size_t i = 0; i < replay.size(); ++i) {
       ASSERT_EQ(incremental[i], replay[i])
           << label << " user " << user << " step " << t << " item " << i;
+    }
+  }
+}
+
+/// Eq. 10's per-candidate reference: after every appended step, each
+/// ScoreAll entry (the grouped one-shot fold) equals ScoreCandidate for
+/// that item alone, float for float.
+void ExpectScoreAllMatchesCandidates(core::CauserModel& model, int user,
+                                     const std::vector<data::Step>& history,
+                                     const std::string& label) {
+  std::vector<data::Step> prefix;
+  for (size_t t = 0; t < history.size(); ++t) {
+    prefix.push_back(history[t]);
+    const auto scores = model.ScoreAll(user, prefix);
+    for (int b = 0; b < static_cast<int>(scores.size()); ++b) {
+      ASSERT_EQ(scores[b], model.ScoreCandidate(user, prefix, b))
+          << label << " user " << user << " step " << t << " item " << b;
     }
   }
 }
@@ -160,6 +179,15 @@ TEST(ServingEquivalenceTest, CauserIncrementalMatchesScoreAll) {
               model, user,
               LongHistory(user, TinyData().num_items, 30), label + " long");
           ExpectIncrementalMatchesReplay(
+              model, user,
+              IrregularHistory(user, TinyData().num_items, 30),
+              label + " irregular");
+          ExpectScoreAllMatchesCandidates(
+              model, user, TinySplit().test[user].history, label);
+          ExpectScoreAllMatchesCandidates(
+              model, user,
+              LongHistory(user, TinyData().num_items, 30), label + " long");
+          ExpectScoreAllMatchesCandidates(
               model, user,
               IrregularHistory(user, TinyData().num_items, 30),
               label + " irregular");
