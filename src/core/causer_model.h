@@ -115,9 +115,11 @@ class CauserModel : public models::SequentialRecommender {
 
   std::string name() const override;
 
-  /// A one-shot serve fold: a fresh session whose window is the truncated
-  /// history, grouped and scored by the same code as ScoreFromState.
-  /// ScoreCandidate is its reference.
+  /// The serve fold: the truncated history folded from its first step into
+  /// groups of candidates whose causal filters keep the same items, each
+  /// group encoded once by raw backbone cell steps and scored together
+  /// (docs/PERFORMANCE.md, "Online serving"). ScoreCandidate is its
+  /// reference.
   std::vector<float> ScoreAll(int user,
                               const std::vector<data::Step>& history) override;
 
@@ -130,19 +132,6 @@ class CauserModel : public models::SequentialRecommender {
 
   double TrainEpoch(const std::vector<data::Sequence>& train) override;
   void OnParametersRestored() override;
-
-  // Incremental serving (docs/PERFORMANCE.md, "Online serving"): the
-  // session caches the candidates' filtered-history groups and each
-  // group's backbone states (GRU h / LSTM (h, c)). ScoreFromState first
-  // folds the steps appended since the last score: each splits the ~K
-  // groups by the items each candidate's filter keeps and advances each by
-  // a single cell step instead of replaying the backbone over the whole
-  // window. After a window slide or a cache refresh (TrainEpoch / restore)
-  // the fold starts over from the first window step. Scores stay
-  // bit-identical to ScoreAll (the same fold in one shot) and to
-  // ScoreCandidate over the appended history.
-  std::unique_ptr<models::SessionState> NewSessionState(int user) override;
-  std::vector<float> ScoreFromState(models::SessionState& state) override;
 
   /// Causer's resume state on top of the base RNG stream: the two Adam
   /// optimizers, the augmented-Lagrangian multipliers, the epoch counter
@@ -190,7 +179,7 @@ class CauserModel : public models::SequentialRecommender {
     std::vector<int> step_index;  // history index per state row
   };
 
-  class ServeState;
+  struct ServeState;
 
   /// Recomputes the per-epoch caches (assignments + item-level W).
   void RefreshCaches();
@@ -229,12 +218,12 @@ class CauserModel : public models::SequentialRecommender {
                   const std::vector<int>& members, int user,
                   std::vector<float>* out);
 
-  /// Folds window step t (non-empty) into a serve session: advances the
-  /// unfiltered encoding, then splits every group by the items of the step
-  /// its candidates' filters keep, one cell step per child that kept any.
-  /// The only code that assigns a session's candidates to groups; with
+  /// Folds one non-empty window step's `items` into ScoreAll's fold:
+  /// advances the unfiltered encoding, then splits every group by the items
+  /// of the step its candidates' filters keep, one cell step per child that
+  /// kept any. The only code that assigns candidates to groups; with
   /// use_causal off all of them stay in the fallback group.
-  void AdvanceGroups(ServeState& state, int t);
+  void AdvanceGroups(ServeState& state, const std::vector<int>& items);
 
   /// Attention weights over the encoded states: [T, 1].
   nn::Tensor StepWeights(const nn::Tensor& states);
@@ -275,10 +264,6 @@ class CauserModel : public models::SequentialRecommender {
   bool caches_stale_ = true;
   std::vector<float> w_cache_;       // item-level W, row-major [V * V]
   std::vector<float> assign_cache_;  // soft assignments, row-major [V * K]
-  /// Bumped by every RefreshCaches; serve sessions stamp the epoch their
-  /// cached groups were built under and rebuild on mismatch (the filter
-  /// sets depend on w_cache_).
-  uint64_t serve_epoch_ = 0;
   std::vector<float> epoch_sources_;  // per-transition history activations
   std::vector<float> epoch_targets_;  // per-transition target assignments
 };

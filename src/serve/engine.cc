@@ -253,7 +253,7 @@ std::vector<Response> ServingEngine::ProcessBatch(
   }
 
   // Phase 1 — append to session windows in arrival order; the models
-  // encode the new steps in Phase 2. Duplicate users in one batch fold
+  // fold the windows in Phase 2. Duplicate users in one batch fold
   // into a single session: each append lands in order and every duplicate
   // scores the final state (exactly what sequential per-request handling
   // would produce). The handles pin every acquired session for the whole

@@ -81,10 +81,10 @@ struct Response {
   uint64_t model_version = 0;
 };
 
-/// Online inference engine: a session store of per-user windows and their
-/// cached encodings, plus one batch scorer. ScoreBatch appends every
-/// request's step to its session's window, then scores the batch, each
-/// model first folding the steps its cache has not seen. The scoring is
+/// Online inference engine: a session store of per-user windows plus one
+/// batch scorer. ScoreBatch appends every request's step to its session's
+/// window, then scores the batch, each model folding every window from its
+/// first step. The scoring is
 /// one batched GEMM + fused top-k pass (kernels::MatMulTopK) when the
 /// model exposes the single-inner-product form (StateRep/OutputItemTable),
 /// falling back to per-request ScoreFromState otherwise (Causer's grouped
@@ -97,8 +97,8 @@ struct Response {
 /// swapping a shared_ptr (epoch swap) under a mutex held only for the
 /// pointer copy. Each batch pins the version live when it starts and
 /// scores with it to completion, so a reload never waits on a batch and
-/// an in-flight batch never sees weights change under it; session states
-/// built by older versions are replaced by fresh ones seeded from their
+/// an in-flight batch never sees weights change under it; sessions created
+/// under older versions are replaced by fresh ones seeded from their
 /// request's bootstrap on next touch (docs/ROBUSTNESS.md, "Serving fault
 /// tolerance").
 class ServingEngine {
@@ -133,7 +133,7 @@ class ServingEngine {
   /// old version meanwhile), then publishes the new version with one
   /// pointer swap under served_mu_. Batches in flight finish on the
   /// version they pinned; later batches pick up the new one, and their
-  /// stale session states are rebuilt from bootstrap on touch. The engine
+  /// stale sessions are reseeded from bootstrap on touch. The engine
   /// drops its reference to the retired version here; the version is
   /// freed when the last batch that pinned it ends, whatever stale
   /// sessions it leaves cached (they keep only its version stamp). Returns

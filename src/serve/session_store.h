@@ -42,21 +42,19 @@ struct ServeMetricsT {
 /// The shared serving instrument group.
 ServeMetricsT& ServeMetrics();
 
-/// Per-user cache of incremental inference states (models::SessionState):
-/// a hit keeps the user's window and the model's encoding of it, so a
-/// score only folds the steps appended since the last one (the whole
-/// bounded window once it slides) instead of replaying the request's
-/// history. Bounded by `max_sessions` with least-recently-used eviction;
-/// an evicted user is rebuilt from the request's bootstrap history on its
-/// next appearance, so eviction only costs time, never correctness.
-/// Entries are version-stamped with the model version that built them: a
-/// hot reload bumps the engine's version, and a stale entry is replaced by
-/// a fresh one seeded from the bootstrap on its next touch — a state is
-/// never advanced or scored by a model other than the one that created it.
-/// An entry keeps only that stamp, never the model: a stale entry that is
-/// not touched again does not pin its retired version, which is freed when
-/// the last batch that pinned it ends. Dropping the stale state later is
-/// safe because a SessionState holds plain data only (models/recommender.h).
+/// Per-user cache of session windows (models::SessionState): a hit keeps
+/// the user's last max_history steps, so a request only sends its new step
+/// instead of its whole history; every score folds the window from its
+/// first step. Bounded by `max_sessions` with least-recently-used
+/// eviction; an evicted user is rebuilt from the request's bootstrap
+/// history on its next appearance, so eviction only costs time, never
+/// correctness. Entries are version-stamped with the model version they
+/// were created under: a hot reload bumps the engine's version, and a
+/// stale entry is replaced by a fresh window seeded from the bootstrap on
+/// its next touch, so after a reload a session restarts from what its
+/// client sends. An entry keeps only that stamp, never the model: a stale
+/// entry that is not touched again does not pin its retired version,
+/// which is freed when the last batch that pinned it ends.
 ///
 /// One mutex guards one map and one recency list. Eviction is O(1) per
 /// victim: recency is a doubly-linked list threaded through the entries,
@@ -75,17 +73,13 @@ class SessionStore {
   /// `max_sessions` <= 0 means unbounded.
   explicit SessionStore(int max_sessions);
 
-  /// Returns the session for `user` under `model`/`version`, creating it
-  /// on miss with its window seeded from the last max_history steps of
-  /// `bootstrap` (may be null = start empty); the model encodes them on
-  /// the first score. A cached entry stamped with a different version is
-  /// treated as a miss and rebuilt from `bootstrap` with the given model
-  /// (SessionStates are only valid with the model that created them).
-  /// `model` only creates the state; the store keeps no
-  /// reference to it, so the caller keeps `model` alive while it uses the
-  /// handle (an engine batch pins its ServedModel for exactly that). The
-  /// handle keeps the state alive across evictions; drop it when the
-  /// request's batch completes so the LRU cap can reclaim the entry.
+  /// Returns the session for `user` under `version`, creating it on miss
+  /// with its window seeded from the last max_history steps of `bootstrap`
+  /// (may be null = start empty). A cached entry stamped with a different
+  /// version is treated as a miss and reseeded from `bootstrap`. `model`
+  /// is read only for its max_history; the store keeps no reference to
+  /// it. The handle keeps the state alive across evictions; drop it when
+  /// the request's batch completes so the LRU cap can reclaim the entry.
   Handle Acquire(int user, const std::vector<data::Step>* bootstrap,
                  const std::shared_ptr<models::SequentialRecommender>& model,
                  uint64_t version);
@@ -99,8 +93,8 @@ class SessionStore {
  private:
   struct Entry {
     std::shared_ptr<models::SessionState> state;
-    /// Engine model version that built `state`. The stamp alone marks a
-    /// stale entry: the entry does not own the model, so a retired
+    /// Engine model version `state` was created under. The stamp alone
+    /// marks a stale entry: the entry does not own the model, so a retired
     /// version's weights are freed while its stale states stay cached.
     uint64_t version = 0;
     int user = 0;          // map key, for list-driven erasure

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <initializer_list>
+#include <type_traits>
 #include <utility>
 
 #include "tensor/kernels.h"
@@ -24,7 +25,10 @@ NodePtr Res(const Tensor& t) { return internal::Resolve(t.node()); }
 /// globally enabled and at least one parent requires them; otherwise the
 /// result is a detached leaf, and neither the parents vector nor the
 /// std::function is built (a no-grad forward pays for the value only).
-/// `parents` is a braced list of nodes or any range of them.
+/// `parents` is a braced list of nodes or any range of them. `backward_fn`
+/// is the closure, or a callable taking no arguments that returns it: an
+/// op whose closure copies a container passes the latter, so the copy is
+/// made only when the closure is kept.
 template <typename Parents = std::initializer_list<NodePtr>, typename Backward>
 Tensor MakeResult(int rows, int cols, const Parents& parents,
                   Backward&& backward_fn) {
@@ -39,7 +43,11 @@ Tensor MakeResult(int rows, int cols, const Parents& parents,
   if (needs_grad) {
     node->requires_grad = true;
     node->parents.assign(parents.begin(), parents.end());
-    node->backward_fn = std::forward<Backward>(backward_fn);
+    if constexpr (std::is_invocable_v<Backward&>) {
+      node->backward_fn = backward_fn();
+    } else {
+      node->backward_fn = std::forward<Backward>(backward_fn);
+    }
   }
   return Tensor(std::move(node));
 }
@@ -378,18 +386,20 @@ Tensor ConcatRows(const std::vector<Tensor>& parts) {
     total_rows += p.rows();
     nodes.push_back(Res(p));
   }
-  Tensor out = MakeResult(total_rows, m, nodes, [nodes, m](Node& self) {
-    int row = 0;
-    for (const auto& p : nodes) {
-      if (p->requires_grad) {
-        p->EnsureGrad();
-        for (int r = 0; r < p->rows; ++r)
-          for (int c = 0; c < m; ++c)
-            p->grad[static_cast<size_t>(r) * m + c] +=
-                self.grad[static_cast<size_t>(row + r) * m + c];
+  Tensor out = MakeResult(total_rows, m, nodes, [&nodes, m] {
+    return [nodes, m](Node& self) {
+      int row = 0;
+      for (const auto& p : nodes) {
+        if (p->requires_grad) {
+          p->EnsureGrad();
+          for (int r = 0; r < p->rows; ++r)
+            for (int c = 0; c < m; ++c)
+              p->grad[static_cast<size_t>(r) * m + c] +=
+                  self.grad[static_cast<size_t>(row + r) * m + c];
+        }
+        row += p->rows;
       }
-      row += p->rows;
-    }
+    };
   });
   int row = 0;
   for (const auto& p : nodes) {
@@ -424,13 +434,15 @@ Tensor GatherRows(const Tensor& a, const std::vector<int>& indices) {
   const int k = static_cast<int>(indices.size());
   NodePtr an = Res(a);
   for (int idx : indices) CAUSER_CHECK(idx >= 0 && idx < a.rows());
-  Tensor out = MakeResult(k, m, {an}, [an, indices, k, m](Node& self) {
-    if (!an->requires_grad) return;
-    an->EnsureGrad();
-    for (int r = 0; r < k; ++r)
-      for (int c = 0; c < m; ++c)
-        an->grad[static_cast<size_t>(indices[r]) * m + c] +=
-            self.grad[static_cast<size_t>(r) * m + c];
+  Tensor out = MakeResult(k, m, {an}, [&an, &indices, k, m] {
+    return [an, indices, k, m](Node& self) {
+      if (!an->requires_grad) return;
+      an->EnsureGrad();
+      for (int r = 0; r < k; ++r)
+        for (int c = 0; c < m; ++c)
+          an->grad[static_cast<size_t>(indices[r]) * m + c] +=
+              self.grad[static_cast<size_t>(r) * m + c];
+    };
   });
   for (int r = 0; r < k; ++r)
     std::copy(an->value.begin() + static_cast<size_t>(indices[r]) * m,

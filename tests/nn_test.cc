@@ -300,7 +300,7 @@ TEST(RawStepTest, Gru4RecStateRepIsRepresentRow) {
   config.hidden_dim = 9;
   config.max_history = 5;  // 15 appends slide the window ten times
   ExposedGru4Rec model(config);
-  auto state = model.NewSessionState(0);
+  models::SessionState state;
   std::vector<data::Step> history;
   std::vector<float> rep(6);
   for (int t = 0; t < 15; ++t) {
@@ -309,17 +309,17 @@ TEST(RawStepTest, Gru4RecStateRepIsRepresentRow) {
     for (int k = 0; k < (t == 6 ? 0 : 1 + t % 3); ++k) {
       step.items.push_back((t * 7 + k * 13) % config.num_items);
     }
-    model.AdvanceState(*state, step);
+    model.AdvanceState(state, step);
     history.push_back(step);
     const std::vector<data::Step> window(
         history.end() - std::min<size_t>(history.size(), 5), history.end());
-    ASSERT_TRUE(model.StateRep(*state, rep.data()));
+    ASSERT_TRUE(model.StateRep(state, rep.data()));
     tensor::NoGradGuard guard;
     Tensor expected = model.Represent(0, window);
     for (int j = 0; j < 6; ++j) {
       ASSERT_EQ(rep[j], expected.At(0, j)) << "append " << t << " dim " << j;
     }
-    ASSERT_EQ(model.ScoreFromState(*state), model.ScoreAll(0, history));
+    ASSERT_EQ(model.ScoreFromState(state), model.ScoreAll(0, history));
   }
 }
 

@@ -2,13 +2,14 @@
 // the session API and the serving engine through 0-3 appends between
 // scores (empty steps and one step wider than 64 items among them), scores
 // that reuse a cached session with no append, duplicate users in one
-// batch, LRU and explicit evictions, hot reloads, and Causer cache
-// refreshes mid-session. Every score must equal the ScoreAll oracle over
-// the user's whole appended history, and every engine response eval::TopK
-// of it, bit for bit — for GRU4Rec and Causer (GRU and LSTM backbones),
-// fp32 and int8 (rerank_k = catalog), at 1 and 8 threads. Causer's ScoreAll
-// is itself a one-shot fold, so the session API also checks it against
-// ScoreCandidate, the per-candidate Eq. 10 forward, item by item.
+// batch, LRU and explicit evictions, hot reloads, and in-place parameter
+// changes mid-session. Every score must equal the ScoreAll oracle over the
+// user's whole appended history, and every engine response eval::TopK of
+// it, bit for bit — for GRU4Rec and Causer (GRU and LSTM backbones, and
+// GRU with the user embedding), fp32 and int8 (rerank_k = catalog), at 1
+// and 8 threads. Causer's ScoreAll is itself the serve fold, so the
+// session API also checks it against ScoreCandidate, the per-candidate
+// Eq. 10 forward, item by item.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +30,7 @@
 #include "eval/metrics.h"
 #include "models/gru4rec.h"
 #include "serve/engine.h"
+#include "tensor/kernels.h"
 
 namespace causer::serve {
 namespace {
@@ -51,7 +53,10 @@ constexpr int kUsers = 5;
 constexpr int kRounds = 60;
 constexpr int kTopK = 5;
 
-enum class Arch { kGru4Rec, kCauserGru, kCauserLstm };
+enum class Arch { kGru4Rec, kCauserGru, kCauserLstm, kCauserGruUser };
+
+constexpr Arch kArchs[] = {Arch::kGru4Rec, Arch::kCauserGru,
+                           Arch::kCauserLstm, Arch::kCauserGruUser};
 
 const char* ArchName(Arch arch) {
   switch (arch) {
@@ -61,6 +66,8 @@ const char* ArchName(Arch arch) {
       return "causer-gru";
     case Arch::kCauserLstm:
       return "causer-lstm";
+    case Arch::kCauserGruUser:
+      return "causer-gru-user";
   }
   return "?";
 }
@@ -85,8 +92,9 @@ std::shared_ptr<models::SequentialRecommender> Model(Arch arch, int seed) {
     model = gru;
   } else {
     core::CauserConfig c = core::DefaultCauserConfig(
-        TinyData(), arch == Arch::kCauserGru ? core::Backbone::kGru
-                                             : core::Backbone::kLstm);
+        TinyData(), arch == Arch::kCauserLstm ? core::Backbone::kLstm
+                                              : core::Backbone::kGru);
+    c.use_user_embedding = arch == Arch::kCauserGruUser;
     c.base.embedding_dim = 8;
     c.base.hidden_dim = 8;
     c.base.seed = 7 + seed;
@@ -129,8 +137,9 @@ data::Step NextStep(Rng& rng, int round, bool* wide_sent) {
   return WideStep(rng);
 }
 
-/// Nudges every parameter in place, then signals the change: Causer
-/// refreshes its filter caches, which cached sessions must notice.
+/// Nudges every parameter in place, then signals the change (Causer
+/// refreshes its filter caches, the base drops the int8 table). A session
+/// scored after it must see only the new weights.
 void PerturbParameters(models::SequentialRecommender& model, Rng& rng) {
   for (nn::Tensor& p : model.Parameters()) {
     for (float& x : p.data()) {
@@ -149,8 +158,9 @@ void ExpectSameBits(const std::vector<float>& got,
 }
 
 /// The session API without the engine: 0-3 AdvanceState calls between
-/// scores, so one fold consumes several steps (or none), with the GRU rep
-/// sometimes taken first so ScoreFromState finds the cache already folded.
+/// scores (so a window may be scored twice unchanged), with the parameters
+/// nudged mid-session. GRU4Rec's StateRep, scored against its item table
+/// by the zero-seeded GEMV ScoreAll's MatMul runs, must match too.
 void RunSessionApi(Arch arch, int threads) {
   SetDefaultThreads(threads);
   const bool causer = arch != Arch::kGru4Rec;
@@ -159,26 +169,32 @@ void RunSessionApi(Arch arch, int threads) {
   bool wide_sent = false;
   for (int u = 0; u < 2; ++u) {
     const int user = TinySplit().test[u].user;
-    auto state = model.NewSessionState(user);
+    models::SessionState state{user, {}};
     std::vector<data::Step> history;
     for (int round = 0; round < kRounds; ++round) {
       const int appends = rng.UniformInt(4);
       for (int a = 0; a < appends; ++a) {
         history.push_back(NextStep(rng, round, &wide_sent));
-        model.AdvanceState(*state, history.back());
+        model.AdvanceState(state, history.back());
       }
-      if (causer && round % 20 == 13) PerturbParameters(model, rng);
-      if (!causer && rng.Bernoulli(0.5)) {
-        std::vector<float> rep(model.config().embedding_dim);
-        model.StateRep(*state, rep.data());
-      }
+      if (round % 20 == 13) PerturbParameters(model, rng);
       const std::string label = std::string(ArchName(arch)) + " t" +
                                 std::to_string(threads) + " user " +
                                 std::to_string(u) + " round " +
                                 std::to_string(round);
       const std::vector<float> want = model.ScoreAll(user, history);
-      ExpectSameBits(model.ScoreFromState(*state), want, label);
+      ExpectSameBits(model.ScoreFromState(state), want, label);
       if (::testing::Test::HasFatalFailure()) return;
+      std::vector<float> rep(model.config().embedding_dim);
+      if (!causer && model.StateRep(state, rep.data())) {
+        const nn::Tensor& table = *model.OutputItemTable();
+        std::vector<float> scores(table.rows(), 0.0f);
+        tensor::kernels::MatMulAdd(table.data().data(), rep.data(),
+                                   scores.data(), table.rows(), table.cols(),
+                                   1, false, false);
+        ExpectSameBits(scores, want, label + " StateRep");
+        if (::testing::Test::HasFatalFailure()) return;
+      }
       if (causer) {
         auto& causer_model = dynamic_cast<core::CauserModel&>(model);
         std::vector<float> reference(want.size());
@@ -278,7 +294,7 @@ void RunEngine(Arch arch, bool int8, int threads) {
 
 TEST(ServingModelTest, SessionApiMatchesScoreAll) {
   ThreadCountGuard guard;
-  for (Arch arch : {Arch::kGru4Rec, Arch::kCauserGru, Arch::kCauserLstm}) {
+  for (Arch arch : kArchs) {
     for (int threads : {1, 8}) {
       RunSessionApi(arch, threads);
       if (HasFatalFailure()) return;
@@ -288,7 +304,7 @@ TEST(ServingModelTest, SessionApiMatchesScoreAll) {
 
 TEST(ServingModelTest, EngineMatchesScoreAllTopK) {
   ThreadCountGuard guard;
-  for (Arch arch : {Arch::kGru4Rec, Arch::kCauserGru, Arch::kCauserLstm}) {
+  for (Arch arch : kArchs) {
     for (bool int8 : {false, true}) {
       for (int threads : {1, 8}) {
         RunEngine(arch, int8, threads);

@@ -1,13 +1,14 @@
-// Serving equivalence suite: the incremental session path (NewSessionState /
-// AdvanceState / ScoreFromState) must be bit-identical to scoring the full
-// appended history with ScoreAll — for the plain GRU4Rec backbone and for
-// Causer with either backbone, with and without the causal filter and with
-// the user embedding, at every thread count, including window slides past
+// Serving equivalence suite: a session (AdvanceState appends to its
+// window; ScoreFromState and StateRep fold the window from its first step)
+// must be bit-identical to scoring the full appended history with
+// ScoreAll — for the plain GRU4Rec backbone (whose StateRep folds raw cell
+// steps while its ScoreAll runs the tape) and for Causer with either
+// backbone, with and without the causal filter and with the user
+// embedding, at every thread count, including window slides past
 // max_history, wide steps, repeated items and empty steps. Causer's
-// ScoreAll (the same fold, in one shot) must in turn equal its
-// per-candidate Eq. 10 forward, ScoreCandidate, item by item. The engine's
-// batched GEMM + fused top-k responses must in turn equal eval::TopK of
-// those scores.
+// ScoreAll (the grouped serve fold) must in turn equal its per-candidate
+// Eq. 10 forward, ScoreCandidate, item by item. The engine's batched GEMM
+// + fused top-k responses must in turn equal eval::TopK of those scores.
 
 #include <gtest/gtest.h>
 
@@ -61,23 +62,37 @@ struct ThreadCountGuard {
   ~ThreadCountGuard() { SetDefaultThreads(1); }
 };
 
-/// Advances a session one step at a time and checks that every intermediate
-/// ScoreFromState equals ScoreAll over the appended prefix, float for float.
-void ExpectIncrementalMatchesReplay(models::SequentialRecommender& model,
-                                    int user,
-                                    const std::vector<data::Step>& history,
-                                    const std::string& label) {
-  auto state = model.NewSessionState(user);
+/// Appends `history` to a session one step at a time. After every append
+/// the session scores equal ScoreAll over the appended prefix, float for
+/// float: ScoreFromState, and for a model with the single-GEMM form its
+/// StateRep scored against OutputItemTable by the zero-seeded GEMV that
+/// ScoreAll's MatMul runs.
+void ExpectSessionMatchesScoreAll(models::SequentialRecommender& model,
+                                  int user,
+                                  const std::vector<data::Step>& history,
+                                  const std::string& label) {
+  models::SessionState state{user, {}};
+  const nn::Tensor* table = model.OutputItemTable();
   std::vector<data::Step> prefix;
   for (size_t t = 0; t < history.size(); ++t) {
-    model.AdvanceState(*state, history[t]);
+    model.AdvanceState(state, history[t]);
     prefix.push_back(history[t]);
-    auto incremental = model.ScoreFromState(*state);
-    auto replay = model.ScoreAll(user, prefix);
-    ASSERT_EQ(incremental.size(), replay.size()) << label << " step " << t;
-    for (size_t i = 0; i < replay.size(); ++i) {
-      ASSERT_EQ(incremental[i], replay[i])
-          << label << " user " << user << " step " << t << " item " << i;
+    const auto replay = model.ScoreAll(user, prefix);
+    std::vector<std::vector<float>> served = {model.ScoreFromState(state)};
+    if (table != nullptr) {
+      std::vector<float> rep(table->cols());
+      ASSERT_TRUE(model.StateRep(state, rep.data())) << label;
+      served.emplace_back(table->rows(), 0.0f);
+      tensor::kernels::MatMulAdd(table->data().data(), rep.data(),
+                                 served.back().data(), table->rows(),
+                                 table->cols(), 1, false, false);
+    }
+    for (const auto& scores : served) {
+      ASSERT_EQ(scores.size(), replay.size()) << label << " step " << t;
+      for (size_t i = 0; i < replay.size(); ++i) {
+        ASSERT_EQ(scores[i], replay[i])
+            << label << " user " << user << " step " << t << " item " << i;
+      }
     }
   }
 }
@@ -112,9 +127,8 @@ std::vector<data::Step> LongHistory(int user, int num_items, int length) {
 
 /// LongHistory with a step wider than 64 items and an empty step. The wide
 /// step repeats one item 64 times before 8 distinct ones, so the filter
-/// splits its candidates only on items past the 64th. Both steps are split
-/// incrementally, re-folded with the window once it slides, then slide
-/// out.
+/// splits its candidates only on items past the 64th. Both steps are
+/// folded with every window until they slide out.
 std::vector<data::Step> IrregularHistory(int user, int num_items,
                                          int length) {
   std::vector<data::Step> history = LongHistory(user, num_items, length);
@@ -126,7 +140,7 @@ std::vector<data::Step> IrregularHistory(int user, int num_items,
   return history;
 }
 
-TEST(ServingEquivalenceTest, Gru4RecIncrementalMatchesScoreAll) {
+TEST(ServingEquivalenceTest, Gru4RecSessionMatchesScoreAll) {
   ThreadCountGuard guard;
   models::ModelConfig config;
   config.num_users = TinyData().num_users;
@@ -138,17 +152,17 @@ TEST(ServingEquivalenceTest, Gru4RecIncrementalMatchesScoreAll) {
     SetDefaultThreads(threads);
     const std::string label = "gru4rec t" + std::to_string(threads);
     for (int user : {0, 1, 2}) {
-      ExpectIncrementalMatchesReplay(model, user,
-                                     TinySplit().test[user].history, label);
+      ExpectSessionMatchesScoreAll(model, user,
+                                   TinySplit().test[user].history, label);
       // 30 steps > max_history = 12: the window slides every advance.
-      ExpectIncrementalMatchesReplay(
+      ExpectSessionMatchesScoreAll(
           model, user, LongHistory(user, config.num_items, 30),
           label + " long");
     }
   }
 }
 
-TEST(ServingEquivalenceTest, CauserIncrementalMatchesScoreAll) {
+TEST(ServingEquivalenceTest, CauserSessionMatchesScoreAll) {
   ThreadCountGuard guard;
   struct Variant {
     bool causal;
@@ -173,12 +187,12 @@ TEST(ServingEquivalenceTest, CauserIncrementalMatchesScoreAll) {
             (variant.user_embedding ? "+user" : "") + " t" +
             std::to_string(threads);
         for (int user : {0, 3}) {
-          ExpectIncrementalMatchesReplay(
+          ExpectSessionMatchesScoreAll(
               model, user, TinySplit().test[user].history, label);
-          ExpectIncrementalMatchesReplay(
+          ExpectSessionMatchesScoreAll(
               model, user,
               LongHistory(user, TinyData().num_items, 30), label + " long");
-          ExpectIncrementalMatchesReplay(
+          ExpectSessionMatchesScoreAll(
               model, user,
               IrregularHistory(user, TinyData().num_items, 30),
               label + " irregular");
@@ -522,15 +536,15 @@ std::vector<tensor::kernels::TopKEntry> ReferenceRerank(
   const tensor::QuantizedMatrix* qtable = model.QuantizedItemTable();
   const int dim = table->cols();
   const int vocab = table->rows();
-  auto state = model.NewSessionState(request.user);
+  models::SessionState state{request.user, {}};
   const auto& history = *request.bootstrap;
   const size_t cap = static_cast<size_t>(model.config().max_history);
   for (size_t t = history.size() > cap ? history.size() - cap : 0;
        t < history.size(); ++t) {
-    model.AdvanceState(*state, history[t]);
+    model.AdvanceState(state, history[t]);
   }
   std::vector<float> rep(dim);
-  if (!model.StateRep(*state, rep.data())) return {};
+  if (!model.StateRep(state, rep.data())) return {};
   tensor::QuantizedMatrix qrep;
   if (!tensor::QuantizeRows(rep.data(), 1, dim, &qrep)) return {};
   std::vector<tensor::kernels::TopKEntry> cands(rerank_k);

@@ -39,7 +39,7 @@
 //                  [--seed=1] [--smoke] [--check]
 //
 // --items=N (> 0) appends one sampled item per request, exercising the
-// incremental-advance path; item ids must fit the served model's catalog.
+// session-append path; item ids must fit the served model's catalog.
 // With --check it bounds the bootstrap item ids instead (no appends).
 // --smoke shrinks the defaults for a fast CI run (2s at 2000 qps).
 
