@@ -1,7 +1,7 @@
 // Online serving benchmark: the batched engine (raw window fold, GEMM +
 // fused top-k) vs. per-request ScoreAll, int8 scoring, and the raw fold.
 //
-// Three sections, all single-process:
+// Four sections, all single-process:
 //   (1) batched: 32 concurrent users, each with a full 12-step window (the
 //       default max_history) of a 50-step history, scored through the
 //       engine (raw window fold, then one batched [B,d] x [V,d]^T GEMM +
@@ -30,7 +30,14 @@
 //       same libm sigmoid/tanh calls and GEMVs (about 25 us of the 64-wide
 //       GRU4Rec fold), so the ratio measures the tape's per-op cost only.
 //       The roadmap's absolute target is <= 30 us for the GRU4Rec fold
-//       (reported, not gated).
+//       (reported, not gated);
+//   (4) causer fold: Causer's ScoreAll, the grouped serve fold every
+//       served Causer request runs, on the Foursquare-shaped catalog
+//       (420 items) trained from seed 7 (6 epochs; 2 under --smoke), one
+//       request per test user over a slid 12-step window of one-item
+//       steps. Reported as us per request with the mean number of
+//       candidate groups per fold, after every score is checked equal to
+//       ScoreCandidate; not gated.
 //
 // Sharded scoring is benched (and gated) by bench_kernels alone.
 //
@@ -52,12 +59,15 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <set>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/thread_pool.h"
+#include "data/generator.h"
+#include "data/split.h"
 #include "eval/metrics.h"
 #include "serve/engine.h"
 #include "tensor/arena.h"
@@ -134,8 +144,9 @@ FoldResult RunGruFold(int samples) {
   return result;
 }
 
-/// The backbone cell fold of Causer's serve path over a 12-step window, at `cell`'s dimensions, from precomputed step inputs (the
-/// cluster-encoder input stays on the tape on both paths). The tape side
+/// The backbone cell fold of Causer's serve path over a 12-step window, at
+/// `cell`'s dimensions, from precomputed step inputs (the serve path reads
+/// them from its per-item table). The tape side
 /// is the per-step round trip the fold took before the raw steps: a fresh
 /// tensor from the stored floats, Forward, and a copy back out.
 template <typename Cell>
@@ -190,6 +201,94 @@ FoldResult RunCellFold(const Cell& cell, int samples) {
   raw_fold();
   result.bit_identical = tape_h == raw_h && tape_c == raw_c;
   result.timing = bench::TimePair(tape_fold, raw_fold, samples);
+  return result;
+}
+
+/// Causer's grouped ScoreAll over slid windows: timing, mean groups per
+/// fold and the check against the per-candidate reference.
+struct CauserFoldResult {
+  int window = 0;
+  int requests = 0;
+  int catalog = 0;
+  bench::Timing score_all;
+  double groups_per_fold = 0.0;
+  bool exact = true;
+};
+
+/// The candidate groups of one fold, counted independently of the fold:
+/// candidates whose filters keep the same items of every window step share
+/// one group. `window` is already truncated to max_history.
+int CountGroups(core::CauserModel& model,
+                const std::vector<data::Step>& window) {
+  const int v = model.config().num_items;
+  const float eps = model.causer_config().epsilon;
+  std::set<std::vector<std::vector<int>>> groups;
+  for (int b = 0; b < v; ++b) {
+    std::vector<std::vector<int>> kept;
+    for (const data::Step& step : window) {
+      if (step.items.empty()) continue;
+      kept.emplace_back();
+      for (int a : step.items) {
+        if (model.ItemCausalWeight(a, b) > eps) kept.back().push_back(a);
+      }
+    }
+    groups.insert(std::move(kept));
+  }
+  return static_cast<int>(groups.size());
+}
+
+CauserFoldResult RunCauserFold(bool smoke, int passes) {
+  const data::Dataset data =
+      data::MakeDataset(data::SpecFor(data::PaperDataset::kFoursquare));
+  const data::Split split = data::LeaveLastOut(data);
+  core::CauserModel model(
+      core::DefaultCauserConfig(data, core::Backbone::kGru, /*seed=*/7));
+  models::TrainConfig train;  // the perfbench fixture's schedule
+  train.max_epochs = smoke ? 2 : 6;
+  core::TrainCauser(model, split, train);
+  // One request per test user: the user's history items as one-item steps,
+  // repeated to max_history + 1 steps, so the window has slid once.
+  const int window = model.config().max_history;
+  std::vector<int> users;
+  std::vector<std::vector<data::Step>> histories;
+  for (const data::EvalInstance& inst : split.test) {
+    std::vector<int> items;
+    for (const data::Step& step : inst.history) {
+      items.insert(items.end(), step.items.begin(), step.items.end());
+    }
+    if (items.empty()) continue;
+    std::vector<data::Step> history(window + 1);
+    for (int t = 0; t <= window; ++t) {
+      history[t].items = {items[t % items.size()]};
+    }
+    users.push_back(inst.user);
+    histories.push_back(std::move(history));
+  }
+  CauserFoldResult result;
+  result.window = window;
+  result.requests = static_cast<int>(histories.size());
+  result.catalog = model.config().num_items;
+  double groups = 0.0;
+  for (size_t r = 0; r < histories.size(); ++r) {
+    const auto scores = model.ScoreAll(users[r], histories[r]);
+    for (int b = 0; result.exact && b < result.catalog; ++b) {
+      result.exact =
+          scores[b] == model.ScoreCandidate(users[r], histories[r], b);
+    }
+    const std::vector<data::Step> slid(histories[r].end() - window,
+                                       histories[r].end());
+    groups += CountGroups(model, slid);
+  }
+  result.groups_per_fold = groups / std::max(1, result.requests);
+  float sink = 0.0f;
+  result.score_all = bench::TimeCalls(
+      [&] {
+        for (size_t r = 0; r < histories.size(); ++r) {
+          sink += model.ScoreAll(users[r], histories[r])[0];
+        }
+      },
+      passes, std::max(1, result.requests));
+  if (sink == 54321.678f) std::printf("unreachable\n");
   return result;
 }
 
@@ -396,6 +495,18 @@ int main(int argc, char** argv) {
   const FoldResult* folds[] = {&gru_fold, &gru_cell_fold, &lstm_cell_fold};
   for (const FoldResult* f : folds) ok = ok && f->bit_identical;
 
+  // -- Section 4: Causer's grouped serve fold -----------------------------
+  const CauserFoldResult causer_fold = RunCauserFold(smoke, passes);
+  ok = ok && causer_fold.exact;
+  std::printf(
+      "\nCauser ScoreAll, slid %d-step windows (%d requests, catalog %d, "
+      "us per request, median [p10, p90] of %d passes):\n",
+      causer_fold.window, causer_fold.requests, causer_fold.catalog, passes);
+  std::printf("  grouped serve fold          : %26s   (%.1f groups per "
+              "fold; exact vs ScoreCandidate %s)\n",
+              bench::Spread(causer_fold.score_all).c_str(),
+              causer_fold.groups_per_fold, causer_fold.exact ? "yes" : "NO");
+
   // -- Report -------------------------------------------------------------
   bench::JsonObject batch_row;
   batch_row.Set("users", kBatchUsers)
@@ -438,6 +549,14 @@ int main(int argc, char** argv) {
       .SetRaw("causer_gru_cell_fold", fold_json(gru_cell_fold))
       .SetRaw("causer_lstm_cell_fold", fold_json(lstm_cell_fold))
       .Set("gate_min_ratio", fold_gate);
+  bench::JsonObject causer_row;
+  causer_row.Set("window", causer_fold.window)
+      .Set("requests", causer_fold.requests)
+      .Set("catalog", causer_fold.catalog)
+      .Set("passes", passes)
+      .SetRaw("score_all_us", bench::TimingJson(causer_fold.score_all))
+      .Set("groups_per_fold", causer_fold.groups_per_fold)
+      .Set("exact_vs_score_candidate", causer_fold.exact);
   bench::JsonObject report;
   report.Set("bench", std::string("bench_serving"))
       .Set("smoke", smoke)
@@ -445,6 +564,7 @@ int main(int argc, char** argv) {
       .SetRaw("batched_vs_per_request", batch_row.Str())
       .SetRaw("quant", quant_row.Str())
       .SetRaw("window_fold", fold_row.Str())
+      .SetRaw("causer_fold", causer_row.Str())
       .Set("gate_min_speedup", gate);
   if (!bench::WriteTextFile(out_path, report.Str())) {
     std::fprintf(stderr, "failed to write %s\n", out_path.c_str());

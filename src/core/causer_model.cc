@@ -13,7 +13,9 @@
 #include "common/trace.h"
 #include "data/sampler.h"
 #include "tensor/autograd.h"
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
+#include "tensor/primitives/primitives.h"
 
 namespace causer::core {
 
@@ -47,12 +49,14 @@ CauserMetricsT& CauserMetrics() {
 }
 
 /// Eq. 9's total effect What_{t,b} of one history step on candidate b: the
-/// zero-seeded sum of W[a][b] over the step's kept items a, in kept order.
-/// `w` is the row-major [v * v] item-level matrix.
-float WhatSum(const std::vector<float>& w, int v, const std::vector<int>& kept,
-              int b) {
+/// zero-seeded sum of W[a][b] over the step's kept items [kept, kept_end),
+/// in kept order. `w` is the row-major [v * v] item-level matrix.
+float WhatSum(const std::vector<float>& w, int v, const int* kept,
+              const int* kept_end, int b) {
   float what = 0.0f;
-  for (int a : kept) what += w[static_cast<size_t>(a) * v + b];
+  for (; kept != kept_end; ++kept) {
+    what += w[static_cast<size_t>(*kept) * v + b];
+  }
   return what;
 }
 
@@ -156,9 +160,17 @@ void CauserModel::RefreshCaches() {
   tensor::ArenaScope arena_scope;
   Tensor assignments = clusterer_->AssignmentsAll();
   w_cache_ = graph_->ItemLevelMatrix(assignments);
-  // Explicit element copy: the caches are plain heap vectors that outlive
+  // Explicit element copies: the caches are plain heap vectors that outlive
   // any ArenaScope the refresh might run under.
   assign_cache_.assign(assignments.data().begin(), assignments.data().end());
+  // StepInput({b}) for every item at once: the kernels keep each row's
+  // ascending-k chains whatever the row count, so row b carries the bits of
+  // the one-row EncodeItems({b}), and the free embedding adds elementwise.
+  Tensor inputs = clusterer_->EncodeAll();
+  if (causer_config_.use_free_input_embedding) {
+    inputs = tensor::Add(inputs, input_items_->weight());
+  }
+  step_input_cache_.assign(inputs.data().begin(), inputs.data().end());
   caches_stale_ = false;
 }
 
@@ -323,24 +335,99 @@ Tensor CauserModel::RunBackbone(
   return tensor::ConcatRows(states);
 }
 
-void CauserModel::BackboneStep(const std::vector<int>& items,
-                               std::vector<float>* h, std::vector<float>* c) {
-  // The step input stays on the tape; the cell steps on raw buffers from
-  // and into the group's vectors (empty: the zero initial state), with the
-  // floats the chained RunBackbone recurrence computes.
-  tensor::NoGradGuard guard;
-  tensor::ArenaScope arena_scope;
-  Tensor input = StepInput(items);
-  const float* x = input.data().data();
-  const float* prev_h = h->empty() ? nullptr : h->data();
-  h->resize(config_.hidden_dim);
-  if (gru_) {
-    gru_->Step(x, prev_h, h->data());
-    return;
+/// The scratch of one ScoreAll fold, kept per thread so that a fold reuses
+/// the buffers of the last one instead of allocating its own. The fold
+/// encodes a tree of rows: a row is one raw backbone cell step over the
+/// items a step's filter kept, taken from its parent row's state. A group
+/// of candidates whose filters keep the same items of every step is the
+/// chain of rows that ends at its last row. At each step the candidates
+/// that keep nothing of it stay in their group, and the others move to a
+/// child group whose chain is the parent's plus one row, so nothing is
+/// copied from group to group.
+struct CauserModel::ServeState {
+  struct Row {
+    int parent;      // previous row of the chain; -1 at the chain's start
+    int depth;       // rows in the chain up to and including this one
+    int kept_begin;  // this row's kept items: kept[kept_begin, kept_end)
+    int kept_end;
+  };
+
+  std::vector<Row> rows;
+  std::vector<float> h;   // [rows * hidden_dim] hidden state after each row
+  std::vector<float> c;   // [rows * hidden_dim] LSTM cell memory (LSTM only)
+  std::vector<int> kept;  // every row's kept items, concatenated
+  /// Last row of the backbone over every non-empty window step unfiltered:
+  /// Eq. 10's fallback encoding. -1 until the first non-empty step.
+  int unfiltered = -1;
+  /// Per group, its chain's last row; -1 for the fallback group 0, whose
+  /// filters kept nothing so far (every candidate with use_causal off).
+  /// Groups split but never merge, so no other group has -1.
+  std::vector<int> group_last;
+  std::vector<int> group_of;  // candidate b's group
+
+  // Per-step scratch of AdvanceGroups.
+  std::vector<uint64_t> masks;  // [words * V] keep-mask words, word-major
+  std::vector<int> movers;      // candidates whose masks keep an item
+  std::vector<int> child_head;  // per parent group: its newest child
+  std::vector<int> child_next;  // per child: its parent's next-older child
+  std::vector<int> child_rep;   // per child: the candidate that made it
+  std::vector<float> x;         // a multi-item step's averaged input
+
+  // Scoring scratch of ScoreGroup.
+  std::vector<int> member_begin, members;  // candidates by group, ascending
+  std::vector<int> cursor;                 // per group: next member slot
+  std::vector<int> chain;                  // a group's rows in fold order
+  std::vector<float> states, att, alpha, coeff, pooled, reps;
+
+  /// Every candidate starts in the one fallback group.
+  void Reset(int num_items) {
+    rows.clear();
+    h.clear();
+    c.clear();
+    kept.clear();
+    unfiltered = -1;
+    group_last.assign(1, -1);
+    group_of.assign(num_items, 0);
   }
-  const float* prev_c = c->empty() ? nullptr : c->data();
-  c->resize(config_.hidden_dim);
-  lstm_->Step(x, prev_h, prev_c, h->data(), c->data());
+};
+
+int CauserModel::BackboneStep(ServeState& state, int parent, int kept_begin) {
+  // StepInput from the per-item table: the row itself for one item, else
+  // SumCols then ScalarMul(1/k) off the tape (each column summed from zero
+  // in item order, then scaled).
+  const int d = causer_config_.cluster_dim;
+  const int hd = config_.hidden_dim;
+  const int kept_end = static_cast<int>(state.kept.size());
+  const int k = kept_end - kept_begin;
+  auto input_row = [&](int item) {
+    return step_input_cache_.data() + static_cast<size_t>(item) * d;
+  };
+  const float* x = input_row(state.kept[kept_begin]);
+  if (k > 1) {
+    state.x.assign(d, 0.0f);
+    for (int i = kept_begin; i < kept_end; ++i) {
+      const float* r = input_row(state.kept[i]);
+      for (int j = 0; j < d; ++j) state.x[j] += r[j];
+    }
+    const float scale = 1.0f / static_cast<float>(k);
+    for (int j = 0; j < d; ++j) state.x[j] = scale * state.x[j];
+    x = state.x.data();
+  }
+  const int row = static_cast<int>(state.rows.size());
+  state.rows.push_back({parent, parent < 0 ? 1 : state.rows[parent].depth + 1,
+                        kept_begin, kept_end});
+  const size_t at = static_cast<size_t>(row) * hd;
+  const size_t from = static_cast<size_t>(parent) * hd;
+  state.h.resize(at + hd);
+  const float* prev_h = parent < 0 ? nullptr : state.h.data() + from;
+  if (gru_) {
+    gru_->Step(x, prev_h, state.h.data() + at);
+    return row;
+  }
+  state.c.resize(at + hd);
+  const float* prev_c = parent < 0 ? nullptr : state.c.data() + from;
+  lstm_->Step(x, prev_h, prev_c, state.h.data() + at, state.c.data() + at);
+  return row;
 }
 
 CauserModel::CandidateForward CauserModel::ForwardCandidate(
@@ -387,7 +474,8 @@ CauserModel::CandidateForward CauserModel::ForwardCandidate(
   std::vector<float> what(rows, 1.0f);
   if (weighted) {
     for (int r = 0; r < rows; ++r) {
-      what[r] = WhatSum(w_cache_, v, steps[r], candidate);
+      what[r] = WhatSum(w_cache_, v, steps[r].data(),
+                        steps[r].data() + steps[r].size(), candidate);
     }
   }
   // A constant [T,1] column: W^c takes no tape gradient.
@@ -419,149 +507,186 @@ Tensor CauserModel::StepWeights(const Tensor& states) {
   return attention_->Weights(states, query);
 }
 
-void CauserModel::ScoreGroup(const Tensor& states, const Tensor& alpha,
-                             const std::vector<std::vector<int>>* kept_steps,
-                             const std::vector<int>& members, int user,
-                             std::vector<float>* out) {
+void CauserModel::ScoreGroup(ServeState& s, int last, bool weighted,
+                             const int* members, int g_size, int user,
+                             float* out) {
+  // ForwardCandidate's StepWeights, pooling and scoring for g_size
+  // candidates at once, on raw buffers through the kernels the tape ops
+  // call, with the tape ops' shapes and order of operations.
   const int v = config_.num_items;
-  const int t = states.rows();
-  const int g_size = static_cast<int>(members.size());
-  // Coefficient matrix C[t][g] = alpha_t * What_{t, b_g}.
-  std::vector<float> coeff(static_cast<size_t>(t) * g_size, 0.0f);
+  const int hd = config_.hidden_dim;
+  const int de = config_.embedding_dim;
+  const int t = s.rows[last].depth;
+  s.chain.resize(t);
+  for (int r = t - 1, row = last; r >= 0; --r, row = s.rows[row].parent) {
+    s.chain[r] = row;
+  }
+  s.states.resize(static_cast<size_t>(t) * hd);
+  for (int r = 0; r < t; ++r) {
+    const float* h = s.h.data() + static_cast<size_t>(s.chain[r]) * hd;
+    std::copy(h, h + hd, s.states.data() + static_cast<size_t>(r) * hd);
+  }
+  const float* states = s.states.data();
+  const auto& ops = tensor::primitives::Active();
+  // alpha [T]: uniform 1/T under -att, else the bilinear attention of every
+  // state against the last, (S A) q^T, softmaxed as SoftmaxRows does.
+  s.alpha.assign(t, 0.0f);
+  float* alpha = s.alpha.data();
+  if (!causer_config_.use_attention) {
+    std::fill(alpha, alpha + t, 1.0f / static_cast<float>(t));
+  } else {
+    s.att.assign(static_cast<size_t>(t) * hd, 0.0f);
+    tensor::kernels::MatMulAdd(states, attention_->matrix().data().data(),
+                               s.att.data(), t, hd, hd, false, false);
+    tensor::kernels::MatMulAdd(s.att.data(),
+                               states + static_cast<size_t>(t - 1) * hd, alpha,
+                               t, hd, 1, false, false);
+    const float mx = ops.reduce_max(static_cast<size_t>(t), alpha);
+    for (int r = 0; r < t; ++r) alpha[r] = alpha[r] - mx;  // temperature 1
+    ops.exp_apply(static_cast<size_t>(t), alpha);
+    float total = 0.0f;
+    for (int r = 0; r < t; ++r) total += alpha[r];
+    for (int r = 0; r < t; ++r) alpha[r] /= total;
+  }
+  // Cᵀ[g][t] = alpha_t * What_{t, b_g} (What = 1 for the fallback), then
+  // pooled = Cᵀ·states [G, h], reps = pooled·V [G, de] (+ u_k).
+  s.coeff.resize(static_cast<size_t>(g_size) * t);
   for (int g = 0; g < g_size; ++g) {
-    int b = members[g];
+    float* c = s.coeff.data() + static_cast<size_t>(g) * t;
     for (int r = 0; r < t; ++r) {
-      const float what = kept_steps == nullptr
-                             ? 1.0f
-                             : WhatSum(w_cache_, v, (*kept_steps)[r], b);
-      coeff[static_cast<size_t>(r) * g_size + g] = alpha.At(r, 0) * what;
+      const ServeState::Row& row = s.rows[s.chain[r]];
+      const float what =
+          weighted ? WhatSum(w_cache_, v, s.kept.data() + row.kept_begin,
+                             s.kept.data() + row.kept_end, members[g])
+                   : 1.0f;
+      c[r] = alpha[r] * what;
     }
   }
-  Tensor c = Tensor::FromData(t, g_size, std::move(coeff));
-  Tensor pooled = tensor::MatMul(tensor::Transpose(c), states);  // [G, h]
-  Tensor reps = adapt_->Forward(pooled);                    // [G, de]
+  s.pooled.assign(static_cast<size_t>(g_size) * hd, 0.0f);
+  tensor::kernels::MatMulAdd(s.coeff.data(), states, s.pooled.data(), g_size,
+                             t, hd, false, false);
+  s.reps.assign(static_cast<size_t>(g_size) * de, 0.0f);
+  tensor::kernels::MatMulAdd(s.pooled.data(), adapt_->weight().data().data(),
+                             s.reps.data(), g_size, hd, de, false, false);
   if (causer_config_.use_user_embedding) {
-    reps = tensor::Add(reps, users_->Row(user));
+    const float* u =
+        users_->weight().data().data() + static_cast<size_t>(user) * de;
+    for (int g = 0; g < g_size; ++g) {
+      float* rep = s.reps.data() + static_cast<size_t>(g) * de;
+      for (int j = 0; j < de; ++j) rep[j] = rep[j] + u[j];
+    }
   }
-  Tensor emb = out_items_->Forward(members);                // [G, de]
-  Tensor logits = tensor::SumRows(tensor::Mul(reps, emb));  // [G, 1]
-  for (int g = 0; g < g_size; ++g) (*out)[members[g]] = logits.At(g, 0);
+  // logit_b = Σ_j rep[j] * e_b[j], zero-seeded in j order (SumRows of Mul).
+  const float* emb = out_items_->weight().data().data();
+  for (int g = 0; g < g_size; ++g) {
+    out[members[g]] = ops.dot(de, s.reps.data() + static_cast<size_t>(g) * de,
+                              emb + static_cast<size_t>(members[g]) * de);
+  }
 }
 
-/// The scratch of one ScoreAll fold: per filtered-history group, the
-/// backbone state over that group's kept steps of the window. With
-/// near-hard assignments there are at most ~K groups, so folding one
-/// window step costs ~K cell steps. All storage is plain heap vectors
-/// (states are copied out of each step's arena).
-struct CauserModel::ServeState {
-  /// One filtered-history group: the candidates whose causal filter keeps
-  /// exactly `kept_steps` of the window, and the backbone run over them.
-  struct GroupState {
-    std::vector<std::vector<int>> kept_steps;  // filtered items per row
-    std::vector<float> states;                 // [rows * hidden_dim]
-    std::vector<float> h;  // last hidden state ([hidden_dim])
-    std::vector<float> c;  // LSTM cell memory (unused under GRU)
-
-    /// True for the group of candidates whose filter kept nothing — they
-    /// score against the shared unfiltered fallback encoding.
-    bool empty() const { return kept_steps.empty(); }
-  };
-
-  /// Every candidate starts in the one fallback group.
-  explicit ServeState(int num_items) : groups(1), group_of(num_items, 0) {}
-
-  /// Backbone over every non-empty window step unfiltered: Eq. 10's
-  /// fallback encoding.
-  GroupState unfiltered;
-  /// groups[group_of[b]] is candidate b's group. The group with empty
-  /// kept_steps is the fallback group; with use_causal off it holds every
-  /// candidate.
-  std::vector<GroupState> groups;
-  std::vector<int> group_of;
-};
-
-void CauserModel::AdvanceGroups(ServeState& state,
-                                const std::vector<int>& items) {
-  auto extend = [&](ServeState::GroupState& g, const std::vector<int>& kept) {
-    g.kept_steps.push_back(kept);
-    BackboneStep(kept, &g.h, &g.c);
-    g.states.insert(g.states.end(), g.h.begin(), g.h.end());
-  };
-  extend(state.unfiltered, items);
+void CauserModel::AdvanceGroups(ServeState& s, const std::vector<int>& items) {
+  const int n = static_cast<int>(items.size());
+  int begin = static_cast<int>(s.kept.size());
+  s.kept.insert(s.kept.end(), items.begin(), items.end());
+  s.unfiltered = BackboneStep(s, s.unfiltered, begin);
   if (!causer_config_.use_causal) return;
 
-  // A candidate's child group is its parent group plus the items of this
-  // step its filter keeps, so groups split but never merge, and each child
-  // is told apart from its few siblings by that kept list alone.
-  // children[p] lists parent p's children; kept_of[c] is child c's list
-  // (empty: the parent carries over unchanged).
+  // Bit i % 64 of word i / 64 of candidate b's keep-mask is set when b's
+  // filter keeps the step's i-th item; word w of every candidate's mask is
+  // the contiguous masks[w * V, (w + 1) * V), so each item's contiguous
+  // w_cache_ row is scanned once. The mask fixes b's kept list, so a child
+  // group is its parent group plus one mask, and groups split but never
+  // merge. The child that keeps nothing of the step continues its parent,
+  // id and chain; only the candidates whose masks keep an item move.
   const int v = config_.num_items;
   const float eps = causer_config_.epsilon;
-  std::vector<std::vector<int>> children(state.groups.size());
-  std::vector<std::vector<int>> kept_of;
-  std::vector<int> kept;
+  const int words = (n + 63) / 64;
+  s.masks.assign(static_cast<size_t>(words) * v, 0);
+  for (int i = 0; i < n; ++i) {
+    const float* w = w_cache_.data() + static_cast<size_t>(items[i]) * v;
+    uint64_t* m = s.masks.data() + static_cast<size_t>(i / 64) * v;
+    const int shift = i % 64;
+    for (int b = 0; b < v; ++b) m[b] |= uint64_t{w[b] > eps} << shift;
+  }
+  auto word = [&](int b, int w) {
+    return s.masks[static_cast<size_t>(w) * v + b];
+  };
+  s.movers.resize(v);
+  int movers = 0;
   for (int b = 0; b < v; ++b) {
-    kept.clear();
-    for (int item : items) {
-      if (w_cache_[static_cast<size_t>(item) * v + b] > eps) {
-        kept.push_back(item);
-      }
-    }
-    std::vector<int>& siblings = children[state.group_of[b]];
-    auto it = std::find_if(siblings.begin(), siblings.end(),
-                           [&](int c) { return kept_of[c] == kept; });
-    if (it == siblings.end()) {
-      it = siblings.insert(it, static_cast<int>(kept_of.size()));
-      kept_of.push_back(kept);
-    }
-    state.group_of[b] = *it;
+    uint64_t any = 0;
+    for (int w = 0; w < words; ++w) any |= word(b, w);
+    s.movers[movers] = b;
+    movers += any != 0;
   }
-  std::vector<ServeState::GroupState> next(kept_of.size());
-  for (size_t p = 0; p < children.size(); ++p) {
-    for (size_t i = 0; i < children[p].size(); ++i) {
-      const int c = children[p][i];
-      // Every child starts from its parent's rows and recurrent state; the
-      // last one takes them over instead of copying.
-      if (i + 1 < children[p].size()) {
-        next[c] = state.groups[p];
-      } else {
-        next[c] = std::move(state.groups[p]);
-      }
-      if (!kept_of[c].empty()) extend(next[c], kept_of[c]);
+  // Per parent group, its list of children: child_head[p], then
+  // child_next; each child is told apart from its few siblings by the mask
+  // of child_rep, the candidate that made it. Child k is the new group
+  // first + k.
+  const int first = static_cast<int>(s.group_last.size());
+  s.child_head.assign(first, -1);
+  s.child_next.clear();
+  s.child_rep.clear();
+  auto same = [&](int b, int c) {
+    for (int w = 0; w < words; ++w) {
+      if (word(b, w) != word(c, w)) return false;
     }
+    return true;
+  };
+  for (int j = 0; j < movers; ++j) {
+    const int b = s.movers[j];
+    const int parent = s.group_of[b];
+    int child = s.child_head[parent];
+    while (child >= 0 && !same(b, s.child_rep[child])) {
+      child = s.child_next[child];
+    }
+    if (child < 0) {
+      child = static_cast<int>(s.child_rep.size());
+      s.child_rep.push_back(b);
+      s.child_next.push_back(s.child_head[parent]);
+      s.child_head[parent] = child;
+      // The new group's kept list, built once: its row extends the
+      // parent's chain.
+      begin = static_cast<int>(s.kept.size());
+      for (int i = 0; i < n; ++i) {
+        if ((word(b, i / 64) >> (i % 64)) & 1) s.kept.push_back(items[i]);
+      }
+      s.group_last.push_back(BackboneStep(s, s.group_last[parent], begin));
+    }
+    s.group_of[b] = first + child;
   }
-  state.groups = std::move(next);
 }
 
 std::vector<float> CauserModel::ScoreAll(
     int user, const std::vector<data::Step>& history) {
-  tensor::NoGradGuard guard;
   EnsureCaches();
   const int v = config_.num_items;
   std::vector<float> out(v, 0.0f);
+  thread_local ServeState s;
+  s.Reset(v);
   // Fold the truncated history's non-empty steps from the first.
-  ServeState s(v);
   for (size_t t = WindowStart(history); t < history.size(); ++t) {
     if (!history[t].items.empty()) AdvanceGroups(s, history[t].items);
   }
-  // Scratch (reconstructed states, attention, pooling) lives on the arena;
-  // only the plain `out` floats leave the scope.
-  tensor::ArenaScope arena_scope;
-  std::vector<std::vector<int>> members(s.groups.size());
-  for (int b = 0; b < v; ++b) members[s.group_of[b]].push_back(b);
-  for (size_t gi = 0; gi < s.groups.size(); ++gi) {
-    const ServeState::GroupState& g = s.groups[gi];
-    // Fallback semantics at inference: a group whose filter kept nothing
+  // Candidates by group, ascending within each group.
+  const int groups = static_cast<int>(s.group_last.size());
+  s.member_begin.assign(groups + 1, 0);
+  for (int b = 0; b < v; ++b) ++s.member_begin[s.group_of[b] + 1];
+  for (int g = 0; g < groups; ++g) s.member_begin[g + 1] += s.member_begin[g];
+  s.members.resize(v);
+  s.cursor.assign(s.member_begin.begin(), s.member_begin.end() - 1);
+  for (int b = 0; b < v; ++b) s.members[s.cursor[s.group_of[b]]++] = b;
+  for (int g = 0; g < groups; ++g) {
+    const int g_size = s.member_begin[g + 1] - s.member_begin[g];
+    // Fallback semantics at inference: the group whose filter kept nothing
     // scores against the unfiltered states with What = 1.
-    const ServeState::GroupState& encoded = g.empty() ? s.unfiltered : g;
-    if (encoded.empty()) continue;  // only empty steps: the scores stay 0
-    // The copied-out rows carry the exact floats RunBackbone's chained
-    // recurrence produces, so everything downstream matches ScoreCandidate.
-    Tensor states =
-        Tensor::FromData(static_cast<int>(encoded.kept_steps.size()),
-                         config_.hidden_dim, encoded.states);
-    ScoreGroup(states, StepWeights(states),
-               g.empty() ? nullptr : &g.kept_steps, members[gi], user, &out);
+    const bool weighted = s.group_last[g] >= 0;
+    const int last = weighted ? s.group_last[g] : s.unfiltered;
+    // A group all of whose candidates moved on to children has none left;
+    // with only empty steps there is no state, and the scores stay 0.
+    if (g_size == 0 || last < 0) continue;
+    ScoreGroup(s, last, weighted, s.members.data() + s.member_begin[g],
+               g_size, user, out.data());
   }
   return out;
 }

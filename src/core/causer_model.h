@@ -117,9 +117,9 @@ class CauserModel : public models::SequentialRecommender {
 
   /// The serve fold: the truncated history folded from its first step into
   /// groups of candidates whose causal filters keep the same items, each
-  /// group encoded once by raw backbone cell steps and scored together
-  /// (docs/PERFORMANCE.md, "Online serving"). ScoreCandidate is its
-  /// reference.
+  /// group encoded once by raw backbone cell steps and scored together on
+  /// raw buffers (docs/PERFORMANCE.md, "Online serving"). Builds no tape
+  /// node once the caches are fresh. ScoreCandidate is its reference.
   std::vector<float> ScoreAll(int user,
                               const std::vector<data::Step>& history) override;
 
@@ -181,7 +181,8 @@ class CauserModel : public models::SequentialRecommender {
 
   struct ServeState;
 
-  /// Recomputes the per-epoch caches (assignments + item-level W).
+  /// Recomputes the per-epoch caches (assignments, item-level W and the
+  /// per-item step inputs).
   void RefreshCaches();
   void EnsureCaches();
 
@@ -198,34 +199,38 @@ class CauserModel : public models::SequentialRecommender {
   nn::Tensor RunBackbone(const std::vector<std::vector<int>>& step_items);
 
   /// One backbone input row for a step's item list (encoder output, plus
-  /// the optional free input embedding, mean-pooled over the items).
+  /// the optional free input embedding, mean-pooled over the items), on
+  /// the tape: ForwardCandidate's input. The serve fold reads the same
+  /// rows from step_input_cache_.
   nn::Tensor StepInput(const std::vector<int>& items);
 
-  /// Advances the serve fold's recurrent state (*h, and *c for the LSTM
-  /// backbone; empty = initial state) in place by one raw cell step over
-  /// `items`. Produces the same floats as the corresponding chained
-  /// RunBackbone step.
-  void BackboneStep(const std::vector<int>& items, std::vector<float>* h,
-                    std::vector<float>* c);
+  /// Appends one row to the serve fold's tree: a raw backbone cell step
+  /// over the items state.kept[kept_begin, end) from row `parent`'s state
+  /// (-1: the initial state), and returns the new row. Its input is the
+  /// step_input_cache_ row of a one-item step, or the mean of the items'
+  /// rows computed as StepInput's SumCols and ScalarMul do, so the state
+  /// matches the corresponding chained RunBackbone step float for float.
+  int BackboneStep(ServeState& state, int parent, int kept_begin);
 
-  /// Scores one group of candidates sharing the encoded `states` and
-  /// attention `alpha`: ForwardCandidate's pooling and scoring for every
-  /// member at once, with `user`'s embedding added to the adapted reps.
-  /// `kept_steps` lists the filtered items per state row for the What
-  /// sums; null means What = 1 (fallback / non-causal).
-  void ScoreGroup(const nn::Tensor& states, const nn::Tensor& alpha,
-                  const std::vector<std::vector<int>>* kept_steps,
-                  const std::vector<int>& members, int user,
-                  std::vector<float>* out);
+  /// Scores the g_size candidates `members` of one group, encoded by the
+  /// chain of rows ending at `last`: ForwardCandidate's StepWeights,
+  /// pooling and scoring for every member at once, on raw buffers, with
+  /// `user`'s embedding added to the adapted reps. `weighted` sums What
+  /// from each row's kept items; false means What = 1 (the fallback
+  /// group, and every candidate with use_causal off). Writes out[b].
+  void ScoreGroup(ServeState& state, int last, bool weighted,
+                  const int* members, int g_size, int user, float* out);
 
   /// Folds one non-empty window step's `items` into ScoreAll's fold:
-  /// advances the unfiltered encoding, then splits every group by the items
-  /// of the step its candidates' filters keep, one cell step per child that
-  /// kept any. The only code that assigns candidates to groups; with
-  /// use_causal off all of them stay in the fallback group.
+  /// advances the unfiltered encoding, then splits every group by the
+  /// keep-mask of the step's items under its candidates' filters: those
+  /// that keep nothing stay, the others move to one child group per mask,
+  /// each one cell step longer. The only code that assigns candidates to
+  /// groups; with use_causal off all of them stay in the fallback group.
   void AdvanceGroups(ServeState& state, const std::vector<int>& items);
 
-  /// Attention weights over the encoded states: [T, 1].
+  /// Attention weights over the encoded states: [T, 1]. ForwardCandidate
+  /// only; ScoreGroup computes the same weights off the tape.
   nn::Tensor StepWeights(const nn::Tensor& states);
 
   CauserConfig causer_config_;
@@ -264,6 +269,8 @@ class CauserModel : public models::SequentialRecommender {
   bool caches_stale_ = true;
   std::vector<float> w_cache_;       // item-level W, row-major [V * V]
   std::vector<float> assign_cache_;  // soft assignments, row-major [V * K]
+  /// StepInput({b}) per item, row-major [V * cluster_dim].
+  std::vector<float> step_input_cache_;
   std::vector<float> epoch_sources_;  // per-transition history activations
   std::vector<float> epoch_targets_;  // per-transition target assignments
 };

@@ -23,6 +23,9 @@ class BilinearAttention : public Module {
   /// Raw (pre-softmax) scores, for inspection: [T, 1].
   Tensor Scores(const Tensor& history, const Tensor& query) const;
 
+  /// The bilinear matrix A: [dim, dim].
+  const Tensor& matrix() const { return a_; }
+
  private:
   Tensor a_;  // [dim, dim]
 };

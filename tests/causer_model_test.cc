@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include "core/explainer.h"
 #include "core/trainer.h"
 #include "data/generator.h"
 #include "data/split.h"
 #include "eval/evaluator.h"
+#include "tensor/arena.h"
 
 namespace causer::core {
 namespace {
@@ -81,6 +84,80 @@ TEST(CauserModelTest, FilterCacheRefreshedAfterParameterRestore) {
   auto expected = fresh.ScoreAll(inst.user, inst.history);
   EXPECT_EQ(after, expected);
   EXPECT_NE(before, after);
+}
+
+/// Every ScoreAll entry equals ScoreCandidate, which encodes its step
+/// inputs on the tape from the live parameters.
+void ExpectScoreAllMatchesCandidates(CauserModel& model,
+                                     const data::EvalInstance& inst,
+                                     const std::vector<float>& scores) {
+  ASSERT_EQ(static_cast<int>(scores.size()), TinyData().num_items);
+  for (int b = 0; b < TinyData().num_items; ++b) {
+    ASSERT_EQ(scores[b], model.ScoreCandidate(inst.user, inst.history, b))
+        << "item " << b;
+  }
+}
+
+TEST(CauserModelTest, StepInputTableRefreshedAfterParameterRestore) {
+  // ScoreAll reads its step inputs from a per-item table built with the
+  // filter caches: an encoder weight (which leaves the assignments and so
+  // the filter as they are) or, with the free input embedding on, that
+  // embedding must reach the table once OnParametersRestored runs.
+  for (bool free_input : {false, true}) {
+    CauserConfig config = TinyConfig();
+    config.use_free_input_embedding = free_input;
+    CauserModel model(config);
+    const auto& inst = TinySplit().test[0];
+    const auto before = model.ScoreAll(inst.user, inst.history);
+    // Own parameters come first: [centers, assignment logits, V1, b1, ...].
+    nn::Tensor encoder = model.clusterer().Parameters()[2];
+    ASSERT_EQ(encoder.cols(), config.encoder_hidden);
+    for (auto& v : encoder.data()) v += 0.25f;
+    if (free_input) {
+      for (auto& v : model.Parameters().back().data()) v += 0.25f;
+    }
+    model.OnParametersRestored();
+    const auto after = model.ScoreAll(inst.user, inst.history);
+    EXPECT_NE(before, after) << "free_input " << free_input;
+    ExpectScoreAllMatchesCandidates(model, inst, after);
+  }
+}
+
+TEST(CauserModelTest, ConcurrentFirstScoresSeeRefreshedCaches) {
+  // Two threads race the first ScoreAll on stale caches, before any score
+  // and again after a parameter restore; both see the refreshed caches.
+  CauserModel model(TinyConfig());
+  const auto& inst = TinySplit().test[0];
+  for (int round = 0; round < 2; ++round) {
+    if (round == 1) {
+      for (auto& p : model.Parameters())
+        for (auto& v : p.data()) v += 0.25f;
+      model.OnParametersRestored();
+    }
+    std::vector<float> first, second;
+    std::thread a([&] { first = model.ScoreAll(inst.user, inst.history); });
+    std::thread b([&] { second = model.ScoreAll(inst.user, inst.history); });
+    a.join();
+    b.join();
+    EXPECT_EQ(first, second) << "round " << round;
+    ExpectScoreAllMatchesCandidates(model, inst, first);
+  }
+}
+
+TEST(CauserModelTest, ScoreAllBuildsNoTapeNode) {
+  // Once the caches are fresh, the serve fold runs on raw buffers: a
+  // ScoreAll under an open arena scope takes no byte from the arena, which
+  // every tape node and value would come from.
+  for (Backbone backbone : {Backbone::kGru, Backbone::kLstm}) {
+    CauserModel model(TinyConfig(backbone));
+    const auto& inst = TinySplit().test[0];
+    const auto scores = model.ScoreAll(inst.user, inst.history);
+    tensor::Arena arena;
+    tensor::ArenaScope scope(&arena);
+    ASSERT_TRUE(scope.active());
+    EXPECT_EQ(model.ScoreAll(inst.user, inst.history), scores);
+    EXPECT_EQ(arena.bytes_in_use(), 0u);
+  }
 }
 
 TEST(CauserModelTest, ItemCausalWeightMatchesEquationNine) {

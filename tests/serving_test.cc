@@ -3,8 +3,9 @@
 // must be bit-identical to scoring the full appended history with
 // ScoreAll — for the plain GRU4Rec backbone (whose StateRep folds raw cell
 // steps while its ScoreAll runs the tape) and for Causer with either
-// backbone, with and without the causal filter and with the user
-// embedding, at every thread count, including window slides past
+// backbone, with and without the causal filter, with the user embedding,
+// without attention (uniform 1/T weights) and with the free input
+// embedding in the step inputs, at every thread count, including window slides past
 // max_history, wide steps, repeated items and empty steps. Causer's
 // ScoreAll (the grouped serve fold) must in turn equal its per-candidate
 // Eq. 10 forward, ScoreCandidate, item by item. The engine's batched GEMM
@@ -167,14 +168,20 @@ TEST(ServingEquivalenceTest, CauserSessionMatchesScoreAll) {
   struct Variant {
     bool causal;
     bool user_embedding;
+    bool attention = true;
+    bool free_input = false;
   };
   for (auto backbone : {core::Backbone::kGru, core::Backbone::kLstm}) {
-    for (Variant variant : {Variant{true, false}, Variant{false, false},
-                            Variant{true, true}}) {
+    for (Variant variant :
+         {Variant{true, false}, Variant{false, false}, Variant{true, true},
+          Variant{true, false, /*attention=*/false},
+          Variant{true, false, true, /*free_input=*/true}}) {
       const bool causal = variant.causal;
       core::CauserConfig config = TinyConfig(backbone);
       config.use_causal = causal;
       config.use_user_embedding = variant.user_embedding;
+      config.use_attention = variant.attention;
+      config.use_free_input_embedding = variant.free_input;
       core::CauserModel model(config);
       // A couple of epochs makes the learned filter (and so the candidate
       // grouping) nontrivial before the equivalence check.
@@ -184,7 +191,9 @@ TEST(ServingEquivalenceTest, CauserSessionMatchesScoreAll) {
         const std::string label =
             std::string(backbone == core::Backbone::kGru ? "gru" : "lstm") +
             (causal ? "+causal" : "-causal") +
-            (variant.user_embedding ? "+user" : "") + " t" +
+            (variant.user_embedding ? "+user" : "") +
+            (variant.attention ? "" : "-att") +
+            (variant.free_input ? "+free" : "") + " t" +
             std::to_string(threads);
         for (int user : {0, 3}) {
           ExpectSessionMatchesScoreAll(
